@@ -4,7 +4,8 @@
 //   track group 1: the REAL tree-parallel factorization, span-traced by
 //     the obs layer (per-worker subtree and upper-part tasks, with the
 //     assemble/kernel/extend-add phases and panel/trsm/schur blocks
-//     nested inside each front);
+//     nested inside each front; a large front's trsm/schur blocks also
+//     appear inside `help` spans on the workers that joined it);
 //   track group 2: the SIMULATED parallel schedule the paper studies
 //     (per-processor stack-depth counters, OOC I/O slices, annotations),
 //     re-emitted on the same microsecond axis.

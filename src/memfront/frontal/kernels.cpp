@@ -17,6 +17,11 @@ constexpr index_t kRowTile = 128;
 constexpr index_t kColTile = 240;
 constexpr index_t kMicroRows = 4;
 constexpr index_t kMicroCols = 4;
+// Column-block width of a shared trailing update. A multiple of the
+// microkernel width, so a block's microkernel column groups are exactly
+// the single call's (see the header comment).
+constexpr index_t kShareCols = 32;
+static_assert(kShareCols % kMicroCols == 0 && kColTile % kMicroCols == 0);
 
 inline std::size_t stride(index_t i, index_t ld) {
   return static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
@@ -105,6 +110,26 @@ inline double settle_pivot(double d, PartialFactorResult& result) {
   return d;
 }
 
+/// Runs update(c0, c1) over the trailing columns [k1, n) of panel
+/// [k0, k1): as one call, or, for an update of at least kShareMinFlops
+/// with a team, as kShareCols-wide blocks handed to the team.
+template <typename Update>
+void trailing_update(FrontTeam* team, index_t n, index_t k0, index_t k1,
+                     const Update& update) {
+  const index_t m = n - k1;
+  const double flops = 2.0 * static_cast<double>(m) *
+                       static_cast<double>(m) * static_cast<double>(k1 - k0);
+  if (team == nullptr || flops < kShareMinFlops) {
+    update(k1, n);
+    return;
+  }
+  const index_t blocks = (m + kShareCols - 1) / kShareCols;
+  team->for_each(static_cast<std::size_t>(blocks), [&](std::size_t b) {
+    const index_t c0 = k1 + static_cast<index_t>(b) * kShareCols;
+    update(c0, std::min(c0 + kShareCols, n));
+  });
+}
+
 }  // namespace
 
 void schur_update(index_t m, index_t n, index_t kb, const double* a,
@@ -132,7 +157,8 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
   }
 }
 
-PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv) {
+PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv,
+                                       FrontTeam* team) {
   const index_t n = f.n;
   check(npiv >= 0 && npiv <= n, "partial_lu: bad npiv");
   check(f.ld >= n, "partial_lu: bad leading dimension");
@@ -181,29 +207,33 @@ PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv) {
       }
     }
     if (k1 == n) continue;
-    {
-      MEMFRONT_SPAN("trsm", k0);
-      // U12 rows of this panel: unit-lower triangular solve. Each element
-      // (r,c) subtracts its products for k = k0..r-1 in order — the scalar
-      // loop's exact sequence for those rows.
-      for (index_t c = k1; c < n; ++c) {
-        double* col = f.col(c);
-        for (index_t r = k0 + 1; r < k1; ++r) {
-          double s = col[r];
-          for (index_t k = k0; k < r; ++k) s -= f.at(r, k) * col[k];
-          col[r] = s;
+    trailing_update(team, n, k0, k1, [&](index_t c0, index_t c1) {
+      {
+        MEMFRONT_SPAN("trsm", k0);
+        // U12 rows of this panel: unit-lower triangular solve. Each
+        // element (r,c) subtracts its products for k = k0..r-1 in order —
+        // the scalar loop's exact sequence for those rows.
+        for (index_t c = c0; c < c1; ++c) {
+          double* col = f.col(c);
+          for (index_t r = k0 + 1; r < k1; ++r) {
+            double s = col[r];
+            for (index_t k = k0; k < r; ++k) s -= f.at(r, k) * col[k];
+            col[r] = s;
+          }
         }
       }
-    }
-    // Trailing Schur update: rows/cols >= k1 against this panel's L and U.
-    MEMFRONT_SPAN("schur", k0);
-    schur_update(n - k1, n - k1, k1 - k0, &f.at(k1, k0), f.ld, &f.at(k0, k1),
-                 f.ld, &f.at(k1, k1), f.ld);
+      // Trailing Schur update: rows >= k1 of columns [c0,c1) against this
+      // panel's L and U.
+      MEMFRONT_SPAN("schur", k0);
+      schur_update(n - k1, c1 - c0, k1 - k0, &f.at(k1, k0), f.ld,
+                   &f.at(k0, c0), f.ld, &f.at(k1, c0), f.ld);
+    });
   }
   return result;
 }
 
-PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv) {
+PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv,
+                                         FrontTeam* team) {
   const index_t n = f.n;
   check(npiv >= 0 && npiv <= n, "partial_ldlt: bad npiv");
   check(f.ld >= n, "partial_ldlt: bad leading dimension");
@@ -231,23 +261,26 @@ PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv) {
       }
     }
     if (k1 == n) continue;
-    {
-      MEMFRONT_SPAN("trsm", k0);
-      // Trailing part of the mirrored pivot rows. These are exactly the
-      // scalar loop's `w = l(c,k) * d` values, written where the scalar
-      // mirror would land them — so the block below IS the GEMM's B operand
-      // and the trailing columns' panel rows are final without any update
-      // (the scalar loop's updates to those rows are dead stores: the
-      // mirror at step r overwrites row r before anything reads it).
-      for (index_t k = k0; k < k1; ++k) {
-        const double d = f.at(k, k);
-        const double* lcol = f.col(k);
-        for (index_t c = k1; c < n; ++c) f.at(k, c) = lcol[c] * d;
+    trailing_update(team, n, k0, k1, [&](index_t c0, index_t c1) {
+      {
+        MEMFRONT_SPAN("trsm", k0);
+        // Trailing part of the mirrored pivot rows. These are exactly the
+        // scalar loop's `w = l(c,k) * d` values, written where the scalar
+        // mirror would land them — so the block below IS the GEMM's B
+        // operand and the trailing columns' panel rows are final without
+        // any update (the scalar loop's updates to those rows are dead
+        // stores: the mirror at step r overwrites row r before anything
+        // reads it).
+        for (index_t k = k0; k < k1; ++k) {
+          const double d = f.at(k, k);
+          const double* lcol = f.col(k);
+          for (index_t c = c0; c < c1; ++c) f.at(k, c) = lcol[c] * d;
+        }
       }
-    }
-    MEMFRONT_SPAN("schur", k0);
-    schur_update(n - k1, n - k1, k1 - k0, &f.at(k1, k0), f.ld, &f.at(k0, k1),
-                 f.ld, &f.at(k1, k1), f.ld);
+      MEMFRONT_SPAN("schur", k0);
+      schur_update(n - k1, c1 - c0, k1 - k0, &f.at(k1, k0), f.ld,
+                   &f.at(k0, c0), f.ld, &f.at(k1, c0), f.ld);
+    });
   }
   return result;
 }

@@ -11,8 +11,19 @@
 // arithmetic cannot observe), never within one element's update chain, and
 // no partial products are pre-accumulated. Pivot search is untouched, so
 // pivot sequences are identical too.
+//
+// Intra-front parallelism rides on the same invariant. Each panel's
+// trailing work — the U12 triangular solve (LU) or the mirrored pivot
+// rows (LDLt), then the Schur update — is independent per column, so a
+// large update can be split into column blocks run by a FrontTeam. Every
+// block starts a multiple of 4 columns past the panel, so each element
+// is computed by the same microkernel call shape, with the same operands
+// in the same order, as in the single unsplit call: the split moves
+// whole elements between threads, never a part of one element's chain.
 #pragma once
 
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "memfront/support/types.hpp"
@@ -53,6 +64,21 @@ struct PartialFactorResult {
   double max_pivot_abs = 0.0;
 };
 
+/// Helpers a blocked kernel may hand the column blocks of a large
+/// trailing update to (the solver's worker pool implements it).
+class FrontTeam {
+ public:
+  /// Runs body(b) once for every b in [0, n), on the calling thread and
+  /// any helpers, in any order, and returns when every call has
+  /// finished. If a call throws, the remaining calls may be skipped and
+  /// the exception is rethrown once no helper is still running one.
+  virtual void for_each(std::size_t n,
+                        const std::function<void(std::size_t)>& body) = 0;
+
+ protected:
+  ~FrontTeam() = default;
+};
+
 /// C(0:m,0:n) -= A(0:m,0:kb) * B(0:kb,0:n), all column-major with leading
 /// dimensions lda/ldb/ldc. Cache-tiled with a register-blocked microkernel;
 /// per-element update order is increasing k (see header comment).
@@ -61,12 +87,23 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t ldc);
 
 /// Blocked right-looking partial LU with row pivoting among the
-/// fully-summed rows. Semantics (and bits) of partial_lu_reference.
-PartialFactorResult partial_lu_blocked(FrontView front, index_t npiv);
+/// fully-summed rows. Semantics (and bits) of partial_lu_reference, with
+/// or without a team: trailing updates of at least kShareMinFlops go to
+/// `team` as column blocks, smaller ones (and all without a team) run
+/// as one call on the calling thread.
+PartialFactorResult partial_lu_blocked(FrontView front, index_t npiv,
+                                       FrontTeam* team = nullptr);
 
 /// Blocked partial LDLt (no pivoting, full-square storage kept numerically
-/// symmetric). Semantics (and bits) of partial_ldlt_reference.
-PartialFactorResult partial_ldlt_blocked(FrontView front, index_t npiv);
+/// symmetric). Semantics (and bits) of partial_ldlt_reference; `team` as
+/// for partial_lu_blocked.
+PartialFactorResult partial_ldlt_blocked(FrontView front, index_t npiv,
+                                         FrontTeam* team = nullptr);
+
+/// Smallest trailing update (2·m²·panel-width flops, m = trailing order)
+/// the blocked kernels hand to a team: about half a millisecond of
+/// single-core work, far above the cost of waking a helper.
+inline constexpr double kShareMinFlops = 4.0e6;
 
 /// The pre-blocking scalar kernels, verbatim: the bit-exactness baseline
 /// of tests/numeric_kernels_test.cpp and the "before" side of

@@ -262,6 +262,14 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
       .add(static_cast<std::int64_t>(stats.sched.admit_consults));
   m.counter("solver.sched.idle_ns")
       .add(static_cast<std::int64_t>(stats.sched.idle_ns));
+  // Intra-front sharing: trailing updates posted to idle workers, the
+  // column blocks those helpers ran, and the sleepers each post woke.
+  m.counter("solver.sched.shared_updates")
+      .add(static_cast<std::int64_t>(stats.sched.shared_updates));
+  m.counter("solver.sched.helper_blocks")
+      .add(static_cast<std::int64_t>(stats.sched.helper_blocks));
+  m.counter("solver.sched.helper_wakeups")
+      .add(static_cast<std::int64_t>(stats.sched.helper_wakeups));
   m.gauge("solver.sched.max_queue_depth")
       .max_of(static_cast<std::int64_t>(stats.sched.max_queue_depth));
   m.gauge("solver.sched.steal_arena_bound_doubles")

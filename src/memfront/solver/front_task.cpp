@@ -110,10 +110,10 @@ FrontResult process_front(const FrontContext& ctx, index_t i,
   {
     MEMFRONT_SPAN("kernel", i);
     pf = sym ? (ctx.kernel == FrontalKernel::kBlocked
-                    ? partial_ldlt_blocked(front, npiv)
+                    ? partial_ldlt_blocked(front, npiv, ws.team)
                     : partial_ldlt_reference(front, npiv))
              : (ctx.kernel == FrontalKernel::kBlocked
-                    ? partial_lu_blocked(front, npiv)
+                    ? partial_lu_blocked(front, npiv, ws.team)
                     : partial_lu_reference(front, npiv));
   }
   // Non-finite pivots mean the factorization is numerically dead from

@@ -33,6 +33,9 @@ struct FrontWorkspace {
   std::vector<double> front;      // scratch for the current front
   std::vector<index_t> local;     // global row -> front-local row, kNone-init
   std::vector<index_t> positions;  // child CB scatter map scratch
+  /// Helpers for the blocked kernels' large trailing updates (the
+  /// parallel driver's worker pool); null runs every front alone.
+  FrontTeam* team = nullptr;
 
   void init(index_t num_cols) {
     local.assign(static_cast<std::size_t>(num_cols), kNone);

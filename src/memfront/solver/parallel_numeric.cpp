@@ -232,6 +232,10 @@ void worker_loop(Runtime& rt, unsigned w) {
     MEMFRONT_THREAD_NAME("worker-" + std::to_string(w));
     FrontWorkspace ws;
     ws.init(rt.tree().num_cols());
+    // Idle workers join this worker's large trailing updates (in core and
+    // under a budget alike): helpers write into this front, charge no
+    // memory and make no dispatch.
+    ws.team = rt.sched;
     FrontalArena arena;
     count_t arena_peak = 0;
     std::vector<const double*> child_cbs;

@@ -1,9 +1,12 @@
 #include "memfront/solver/scheduler.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "memfront/frontal/arena.hpp"
+#include "memfront/obs/span_tracer.hpp"
 #include "memfront/support/error.hpp"
+#include "memfront/support/fault.hpp"
 
 namespace memfront {
 namespace {
@@ -338,6 +341,81 @@ bool NumericScheduler::try_adopt_locked(unsigned w) {
   return false;
 }
 
+std::exception_ptr NumericScheduler::SharedJob::run(bool helper,
+                                                    std::uint64_t& done) {
+  for (;;) {
+    if (failed.load(std::memory_order_relaxed)) return nullptr;
+    const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
+    if (b >= blocks) return nullptr;
+    try {
+      // Fault site: a helper dying inside another worker's front must
+      // reach the owner as its task's failure, once every helper left.
+      if (helper && MEMFRONT_FAULT("worker.help_exception",
+                                   static_cast<std::int64_t>(b)))
+        throw std::runtime_error("injected helper failure in a shared front");
+      body(b);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      return std::current_exception();
+    }
+    ++done;
+  }
+}
+
+bool NumericScheduler::help_locked(std::unique_lock<std::mutex>& lock) {
+  const auto open = std::find_if(jobs_.begin(), jobs_.end(), [](SharedJob* j) {
+    return j->next.load(std::memory_order_relaxed) < j->blocks &&
+           !j->failed.load(std::memory_order_relaxed);
+  });
+  if (open == jobs_.end()) return false;
+  SharedJob& job = **open;
+  // Joining under mu_ orders the owner's panel writes before this
+  // helper's reads; leaving under mu_ orders its block writes before the
+  // owner's return from for_each.
+  ++job.helpers;
+  lock.unlock();
+  std::uint64_t done = 0;
+  std::exception_ptr error;
+  {
+    MEMFRONT_SPAN("help", static_cast<std::int64_t>(job.seq));
+    error = job.run(/*helper=*/true, done);
+  }
+  lock.lock();
+  stats_.helper_blocks += done;
+  if (error && !job.error) job.error = error;
+  if (--job.helpers == 0) help_cv_.notify_all();
+  return true;
+}
+
+void NumericScheduler::for_each(std::size_t n,
+                                const std::function<void(std::size_t)>& body) {
+  SharedJob job{body, n};
+  bool posted = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (waiting_ > 0 && !failed_) {
+      job.seq = stats_.shared_updates++;
+      jobs_.push_back(&job);
+      stats_.helper_wakeups += waiting_;
+      cv_.notify_all();
+      posted = true;
+    }
+  }
+  if (!posted) {  // nobody to share with: run every block here
+    for (std::size_t b = 0; b < n; ++b) body(b);
+    return;
+  }
+  std::uint64_t done = 0;
+  std::exception_ptr error = job.run(/*helper=*/false, done);
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
+    help_cv_.wait(lock, [&] { return job.helpers == 0; });
+    if (!error) error = job.error;
+  }
+  if (error) std::rethrow_exception(error);
+}
+
 void NumericScheduler::notify_one_locked() {
   ++stats_.wakeups;
   cv_.notify_one();
@@ -398,6 +476,7 @@ bool NumericScheduler::next_task(unsigned w, Task& out) {
     if (options_.steal ? try_steal_locked(w, now_locked())
                        : try_adopt_locked(w))
       continue;
+    if (help_locked(lock)) continue;
     ++waiting_;
     const auto idle_t0 = std::chrono::steady_clock::now();
     cv_.wait_for(lock, kIdleTick);

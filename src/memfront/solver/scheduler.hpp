@@ -33,18 +33,30 @@
 // Completions use targeted wakeups: a sleeper is notified only when a
 // task became stealable/ready or the run drained or failed, never on
 // every completion.
+//
+// Intra-front sharing (the paper's type-2 nodes on shared memory): the
+// scheduler is also the FrontTeam of every worker. A worker whose front
+// reaches a large trailing update while another worker sleeps in
+// next_task posts the update's column blocks as a job; a worker with no
+// task and nothing to steal claims blocks from the job's atomic cursor
+// instead of sleeping. Helpers write in place into the owner's front,
+// so they charge no memory and make no dispatch; and each element still
+// gets its whole update chain from one thread, so bits are unchanged.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <vector>
 
 #include "memfront/core/policy.hpp"
+#include "memfront/frontal/kernels.hpp"
 #include "memfront/symbolic/subtrees.hpp"
 
 namespace memfront {
@@ -79,6 +91,9 @@ struct SchedStats {
   std::uint64_t admit_consults = 0;     ///< SchedulerPolicy::admit
   std::uint64_t idle_ns = 0;            ///< summed worker wait time
   std::size_t max_queue_depth = 0;      ///< deepest single deque seen
+  std::uint64_t shared_updates = 0;     ///< trailing updates posted to helpers
+  std::uint64_t helper_blocks = 0;      ///< column blocks run by helpers
+  std::uint64_t helper_wakeups = 0;     ///< sleepers notified of a post
 };
 
 /// Splits a traversal into per-subtree postorder node lists (indexed by
@@ -158,8 +173,8 @@ class RealPolicyHost final : public PolicyHost {
 /// The worker pool's task source. One instance per factorization; the
 /// workers call next_task()/complete() until the tree drains. All
 /// scheduling state lives under one mutex; policy consults are
-/// serialized under it.
-class NumericScheduler {
+/// serialized under it. Also every worker's FrontTeam (for_each).
+class NumericScheduler final : public FrontTeam {
  public:
   struct Task {
     enum class Kind : unsigned char { kSubtree, kUpper };
@@ -180,8 +195,15 @@ class NumericScheduler {
 
   /// Blocks until a task is dispatched to worker w (the policy picks it
   /// and admits its activation), stealing when the worker's own pool is
-  /// dry. Returns false when all work is done or the run failed.
+  /// dry, and helping with posted front updates while it has nothing
+  /// else to run. Returns false when all work is done or the run failed.
   bool next_task(unsigned w, Task& out);
+
+  /// FrontTeam: runs the blocks on the calling worker, shared with any
+  /// workers sleeping in next_task right now (none sleeping: all inline).
+  /// Returns only after every helper that joined has left the job.
+  void for_each(std::size_t n,
+                const std::function<void(std::size_t)>& body) override;
 
   /// Reports the task done: releases its charges, resolves the parent
   /// dependency (readying the parent wakes one sleeper), and, when the
@@ -215,6 +237,25 @@ class NumericScheduler {
     std::size_t idx = 0;    ///< position in deque / shared pool
   };
 
+  /// One posted trailing update. Lives in the owner's for_each frame:
+  /// the owner unlists it and waits for helpers == 0 before returning.
+  struct SharedJob {
+    SharedJob(const std::function<void(std::size_t)>& fn, std::size_t n)
+        : body(fn), blocks(n) {}
+
+    const std::function<void(std::size_t)>& body;
+    const std::size_t blocks;
+    std::uint64_t seq = 0;             ///< ordinal among shared updates
+    std::atomic<std::size_t> next{0};  ///< claim cursor
+    std::atomic<bool> failed{false};   ///< a block threw: stop claiming
+    std::size_t helpers = 0;           ///< joined, not yet left (under mu_)
+    std::exception_ptr error;          ///< first helper failure (under mu_)
+
+    /// Claims and runs blocks until none are left or one threw; returns
+    /// the exception, if any, and counts the blocks run in `done`.
+    std::exception_ptr run(bool helper, std::uint64_t& done);
+  };
+
   double now_locked() const;
   void refresh_announced_locked(double now);
   count_t task_window(const Task& t) const;
@@ -224,6 +265,7 @@ class NumericScheduler {
   Task take_at_locked(unsigned w, std::size_t pos);
   bool try_steal_locked(unsigned w, double now);
   bool try_adopt_locked(unsigned w);
+  bool help_locked(std::unique_lock<std::mutex>& lock);
   void notify_one_locked();
   void notify_all_locked();
 
@@ -253,6 +295,10 @@ class NumericScheduler {
   std::size_t remaining_ = 0;
   std::size_t waiting_ = 0;
   bool failed_ = false;
+  /// Posted front updates still listed for helpers (owners' frames).
+  std::vector<SharedJob*> jobs_;
+  /// Owners waiting for their helpers to leave.
+  std::condition_variable help_cv_;
   std::atomic<count_t> ooc_charged_total_{0};
   SchedStats stats_;
   std::chrono::steady_clock::time_point t0_;

@@ -183,6 +183,50 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.workers);
     });
 
+// Intra-front sharing under failure: with the helper fault site firing
+// on every block, a worker helping with another worker's shared front
+// update fails inside that front. The owner waits until every helper
+// has left the job, then fails its own task: the run ends in exactly
+// one structured error — the helper's — and the next fault-free run is
+// bit-identical to the baseline. The scale gives the top fronts
+// trailing updates above kShareMinFlops, so sharing fires.
+TEST(ChaosHarness, HelperFailureInASharedFrontIsOneStructuredError) {
+  const Problem p = make_problem(ProblemId::kTwotone, 0.2);
+  AnalysisOptions opt;
+  opt.ordering = OrderingKind::kNestedDissection;
+  const Analysis analysis = analyze(p.matrix, opt);
+  std::vector<double> b(static_cast<std::size_t>(p.matrix.nrows()), 1.0);
+  constexpr unsigned kWorkers = 4;
+  const RunResult baseline = run_once(analysis, b, kWorkers);
+  ASSERT_EQ(baseline.code, ErrorCode::kOk) << "fault-free baseline failed";
+
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {  // every sched mode
+    const std::string label = "sched seed " + std::to_string(seed);
+    fault::ScopedPlan scoped({.seed = seed,
+                              .period = 0,
+                              .overrides = {{"worker.help_exception", 1}}});
+    ParallelNumericOptions popt;
+    popt.nthreads = kWorkers;
+    popt.nprocs = 8;
+    popt.sched.steal = (seed % 2 == 0);
+    popt.sched.policy =
+        (seed % 4 < 2) ? RealPolicy::kWorkload : RealPolicy::kMemory;
+    try {
+      (void)parallel_numeric_factorize(analysis, popt);
+      ADD_FAILURE() << label << ": no helper ever joined a shared front";
+    } catch (const SolverError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kWorkerFailure) << label;
+      EXPECT_NE(std::string(e.what()).find("helper failure"),
+                std::string::npos)
+          << label << ": surfaced error is not the helper's: " << e.what();
+    }
+    EXPECT_GT(fault::Registry::global().injected_count(), 0) << label;
+  }
+  const RunResult after = run_once(analysis, b, kWorkers);
+  ASSERT_EQ(after.code, ErrorCode::kOk);
+  expect_bitwise_identical(after, baseline, "post-failure rerun");
+}
+
 // The OOC simulator under disk chaos: every seeded schedule either
 // completes with exactly the baseline's I/O volumes (transients absorbed
 // by the bounded retry) or fails as a clean io_error.

@@ -1,12 +1,15 @@
 // Blocked frontal kernels vs the pre-blocking scalar references: the
 // blocked panel/TRSM/GEMM pipeline must reproduce the scalar kernels bit
-// for bit (pivot sequences AND every stored value), the signbit
+// for bit (pivot sequences AND every stored value), alone and with its
+// large trailing updates split over a team of threads, the signbit
 // perturbation fix, the mapped extend-add scatter, and the arena's LIFO
 // discipline.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "memfront/frontal/arena.hpp"
@@ -58,12 +61,35 @@ void expect_bitwise_equal(const std::vector<double>& a,
   FAIL() << what << ": bit pattern differs (signed zero or NaN)";
 }
 
+/// A team that runs the blocks in reverse order, dealt round-robin to 3
+/// threads, so every block lands on a thread other than the caller's and
+/// neighbouring blocks run concurrently.
+class ReverseThreadTeam final : public FrontTeam {
+ public:
+  void for_each(std::size_t n,
+                const std::function<void(std::size_t)>& body) override {
+    ++calls;
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < 3; ++t)
+      threads.emplace_back([&, t] {
+        for (std::size_t k = t; k < n; k += 3) {
+          body(n - 1 - k);
+          blocks.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+    for (std::thread& th : threads) th.join();
+  }
+
+  std::size_t calls = 0;
+  std::atomic<std::size_t> blocks{0};
+};
+
 void check_lu_bitwise(index_t n, index_t npiv, std::uint64_t seed,
-                      bool dominant) {
+                      bool dominant, FrontTeam* team = nullptr) {
   std::vector<double> blocked = random_front(n, seed, dominant);
   std::vector<double> reference = blocked;
   const PartialFactorResult br =
-      partial_lu_blocked(FrontView{blocked.data(), n, n}, npiv);
+      partial_lu_blocked(FrontView{blocked.data(), n, n}, npiv, team);
   const PartialFactorResult rr =
       partial_lu_reference(FrontView{reference.data(), n, n}, npiv);
   EXPECT_EQ(br.pivot_rows, rr.pivot_rows)
@@ -72,11 +98,12 @@ void check_lu_bitwise(index_t n, index_t npiv, std::uint64_t seed,
   expect_bitwise_equal(blocked, reference, n, "partial_lu");
 }
 
-void check_ldlt_bitwise(index_t n, index_t npiv, std::uint64_t seed) {
+void check_ldlt_bitwise(index_t n, index_t npiv, std::uint64_t seed,
+                        FrontTeam* team = nullptr) {
   std::vector<double> blocked = random_symmetric(n, seed);
   std::vector<double> reference = blocked;
   const PartialFactorResult br =
-      partial_ldlt_blocked(FrontView{blocked.data(), n, n}, npiv);
+      partial_ldlt_blocked(FrontView{blocked.data(), n, n}, npiv, team);
   const PartialFactorResult rr =
       partial_ldlt_reference(FrontView{reference.data(), n, n}, npiv);
   EXPECT_EQ(br.pivot_rows, rr.pivot_rows)
@@ -116,6 +143,41 @@ TEST(NumericKernels, BlockedLdltBitIdenticalToReference) {
   check_ldlt_bitwise(96, 50, 25);
   check_ldlt_bitwise(131, 131, 26);
   check_ldlt_bitwise(190, 95, 27);
+}
+
+TEST(NumericKernels, SharedTrailingUpdatesStayBitIdentical) {
+  // Sizes whose first trailing updates exceed kShareMinFlops: the
+  // column blocks run on the team's threads, in reverse order, and the
+  // result must still be the scalar reference bit for bit. 517 and 47
+  // leave ragged last blocks and microkernel edges.
+  struct LuCase {
+    index_t n, npiv;
+    std::uint64_t seed;
+    bool dominant;
+  };
+  for (const LuCase c : {LuCase{300, 300, 31, true},
+                         LuCase{517, 260, 32, true},
+                         LuCase{400, 47, 33, false}}) {
+    ReverseThreadTeam team;
+    check_lu_bitwise(c.n, c.npiv, c.seed, c.dominant, &team);
+    EXPECT_GT(team.calls, 0u) << "LU n=" << c.n << " npiv=" << c.npiv;
+    EXPECT_GT(team.blocks.load(), team.calls) << "LU n=" << c.n;
+  }
+  const std::pair<index_t, index_t> ldlt_cases[] = {{300, 300}, {517, 200}};
+  for (const auto& [n, npiv] : ldlt_cases) {
+    ReverseThreadTeam team;
+    check_ldlt_bitwise(n, npiv, 34, &team);
+    EXPECT_GT(team.calls, 0u) << "LDLt n=" << n << " npiv=" << npiv;
+    EXPECT_GT(team.blocks.load(), team.calls) << "LDLt n=" << n;
+  }
+}
+
+TEST(NumericKernels, SmallUpdatesNeverReachTheTeam) {
+  // Below kShareMinFlops the kernels keep the single unsplit call.
+  ReverseThreadTeam team;
+  check_lu_bitwise(150, 70, 35, true, &team);
+  check_ldlt_bitwise(190, 95, 36, &team);
+  EXPECT_EQ(team.calls, 0u);
 }
 
 TEST(NumericKernels, SchurUpdateMatchesScalarRankUpdates) {

@@ -11,13 +11,17 @@
 //     pool consults select_task and admit for every dispatched task,
 //     and the OOC coordinator consults per reservation admission,
 //   - the targeted-wakeup discipline: wakeups stay near the number of
-//     readied tasks instead of completions x workers.
+//     readied tasks instead of completions x workers,
+//   - intra-front sharing: idle workers join the top fronts' trailing
+//     updates, and the factors stay bit-identical in core and at the
+//     minimum out-of-core budget.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
 #include "memfront/frontal/arena.hpp"
+#include "memfront/obs/metrics.hpp"
 #include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/scheduler.hpp"
 #include "memfront/sparse/problems.hpp"
@@ -45,11 +49,28 @@ void expect_bitwise_equal(const Factorization& a, const Factorization& b,
   }
 }
 
-Analysis analyzed_problem(ProblemId id, double scale, OrderingKind ord) {
+Analysis analyzed_problem(ProblemId id, double scale, OrderingKind ord,
+                          bool symmetric = false) {
   const Problem p = make_problem(id, scale);
   AnalysisOptions opt;
   opt.ordering = ord;
+  opt.symmetric = symmetric;
   return analyze(p.matrix, opt);
+}
+
+/// Problems whose top fronts have trailing updates above kShareMinFlops:
+/// an LU (TWOTONE, root front 482) and an LDLt (GUPTA3, root front 502).
+struct SharingCase {
+  ProblemId id;
+  bool ldlt;
+  double scale;
+};
+constexpr SharingCase kSharingCases[] = {{ProblemId::kTwotone, false, 0.2},
+                                         {ProblemId::kGupta3, true, 0.3}};
+
+Analysis sharing_analysis(const SharingCase& c) {
+  return analyzed_problem(c.id, c.scale, OrderingKind::kNestedDissection,
+                          c.ldlt);
 }
 
 /// A 1-wide (chain) assembly tree: tridiagonal matrix under the natural
@@ -233,20 +254,98 @@ TEST(Scheduler, OocAdmissionsConsultThePolicyPerReservation) {
 }
 
 TEST(Scheduler, TargetedWakeupsStayFarBelowBroadcast) {
-  const Analysis analysis =
-      analyzed_problem(ProblemId::kXenon2, 0.16, OrderingKind::kAmd);
+  // The second problem shares its top fronts: helper wakeups are counted
+  // apart and must not leak into the task-wakeup bound.
+  for (const Analysis& analysis :
+       {analyzed_problem(ProblemId::kXenon2, 0.16, OrderingKind::kAmd),
+        sharing_analysis(kSharingCases[0])}) {
+    ParallelNumericOptions popt;
+    popt.nthreads = 4;
+    popt.nprocs = 4;
+    ParallelNumericStats stats;
+    obs::MetricsRegistry::global().reset();
+    (void)parallel_numeric_factorize(analysis, popt, &stats);
+    const std::uint64_t completions = stats.sched.completions;
+    ASSERT_GT(completions, 0u);
+    // The old pool broadcast on every completion: completions x (workers)
+    // notifies. Targeted wakeups fire only for readied tasks, steal
+    // cascades, and the final drain.
+    EXPECT_LE(stats.sched.wakeups,
+              completions + stats.sched.steal_chunks + stats.workers);
+    // A post wakes at most the other workers, once.
+    EXPECT_LE(stats.sched.helper_wakeups,
+              stats.sched.shared_updates * (stats.workers - 1));
+    const obs::MetricsRegistry& m = obs::MetricsRegistry::global();
+    for (const auto& [name, value] :
+         {std::pair{"solver.sched.shared_updates", stats.sched.shared_updates},
+          std::pair{"solver.sched.helper_blocks", stats.sched.helper_blocks}}) {
+      const obs::Counter* counter = m.find_counter(name);
+      ASSERT_NE(counter, nullptr) << name;
+      EXPECT_EQ(counter->value(), static_cast<std::int64_t>(value)) << name;
+    }
+  }
+}
+
+TEST(Scheduler, SharedFrontUpdatesAreBitIdentical) {
+  // Idle workers join the running front's trailing updates, so the top
+  // of the tree runs on several threads — yet every element still gets
+  // its whole update chain from one thread, in the serial order.
+  for (const SharingCase& c : kSharingCases) {
+    const Analysis analysis = sharing_analysis(c);
+    const Factorization serial = numeric_factorize(analysis);
+    for (RealPolicy policy : {RealPolicy::kWorkload, RealPolicy::kMemory}) {
+      for (bool steal : {false, true}) {
+        for (unsigned nthreads : {2u, 4u, 8u}) {
+          ParallelNumericOptions popt;
+          popt.nthreads = nthreads;
+          popt.nprocs = 8;
+          popt.sched.policy = policy;
+          popt.sched.steal = steal;
+          ParallelNumericStats stats;
+          const Factorization fact =
+              parallel_numeric_factorize(analysis, popt, &stats);
+          const std::string label =
+              problem_name(c.id) + "/" + real_policy_name(policy) +
+              (steal ? "/steal" : "/static") +
+              "/workers=" + std::to_string(nthreads);
+          expect_bitwise_equal(serial, fact, label);
+          EXPECT_GT(stats.sched.shared_updates, 0u) << label;
+          EXPECT_LE(stats.sched.helper_wakeups,
+                    stats.sched.shared_updates * (nthreads - 1))
+              << label;
+          // Helping is not dispatching: one consult per task, as always.
+          EXPECT_EQ(stats.sched.dispatch_consults, stats.sched.completions)
+              << label;
+        }
+      }
+    }
+  }
+}
+
+TEST(Scheduler, SharedFrontUpdatesAtTheMinimumOocBudget) {
+#if MEMFRONT_OOC_REAL
+  // Helpers write into the owner's front and charge nothing, so the
+  // budget holds exactly as without sharing.
+  const Analysis analysis = sharing_analysis(kSharingCases[0]);
+  const Factorization serial = numeric_factorize(analysis);
+  const count_t budget =
+      predict_min_ooc_budget(analysis.tree, analysis.traversal);
   ParallelNumericOptions popt;
   popt.nthreads = 4;
   popt.nprocs = 4;
+  popt.sched.policy = RealPolicy::kMemory;
+  popt.ooc.enabled = true;
+  popt.ooc.budget_doubles = budget;
   ParallelNumericStats stats;
-  (void)parallel_numeric_factorize(analysis, popt, &stats);
-  const std::uint64_t completions = stats.sched.completions;
-  ASSERT_GT(completions, 0u);
-  // The old pool broadcast on every completion: completions x (workers)
-  // notifies. Targeted wakeups fire only for readied tasks, steal
-  // cascades, and the final drain.
-  EXPECT_LE(stats.sched.wakeups,
-            completions + stats.sched.steal_chunks + stats.workers);
+  const Factorization fact =
+      parallel_numeric_factorize(analysis, popt, &stats);
+  ensure_factors_resident(fact);
+  expect_bitwise_equal(serial, fact, "budgeted");
+  EXPECT_LE(fact.stats.ooc.charged_peak_doubles, budget);
+  EXPECT_EQ(fact.stats.ooc.overrun_peak_doubles, 0);
+#else
+  GTEST_SKIP() << "MEMFRONT_OOC_REAL=OFF";
+#endif
 }
 
 TEST(Scheduler, StealBoundHelpersAreConsistent) {
