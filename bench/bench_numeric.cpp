@@ -2,9 +2,11 @@
 //
 // Three measurements:
 //   1. Kernel sweep: the largest LU fronts of the biggest unsymmetric
-//      Table-1 problem, factored with the pre-blocking scalar kernel and
-//      the blocked kernel (bit-identical results); GFLOP/s of each and
-//      the single-thread speedup.
+//      Table-1 problem and the largest LDLt front of SHIP_003, factored
+//      with the pre-blocking scalar kernel and the blocked kernel
+//      (bit-identical results); GFLOP/s of each and the single-thread
+//      speedup. Then schur_update at the factorization's shape at every
+//      vector width the CPU runs, and the width schur_update picks.
 //   2. Per-problem factorization: every Table-1 matrix, serial reference
 //      vs serial blocked vs tree-parallel at N workers; model GFLOP/s,
 //      speedups, and the arena peak against the predicted physical peak
@@ -39,6 +41,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -128,10 +131,17 @@ NumericOptionsCli parse(int argc, char** argv) {
   return opt;
 }
 
-std::vector<double> random_front(index_t n, std::uint64_t seed) {
+/// A diagonally dominant front, symmetric for an LDLt front.
+std::vector<double> random_front(index_t n, std::uint64_t seed,
+                                 bool symmetric) {
   Rng rng(seed);
   std::vector<double> data(static_cast<std::size_t>(n) * n);
   for (double& v : data) v = rng.real(-1.0, 1.0);
+  if (symmetric)
+    for (index_t c = 0; c < n; ++c)
+      for (index_t r = 0; r < c; ++r)
+        data[static_cast<std::size_t>(c) * n + r] =
+            data[static_cast<std::size_t>(r) * n + c];
   for (index_t r = 0; r < n; ++r) {
     double sum = 0.0;
     for (index_t c = 0; c < n; ++c)
@@ -161,12 +171,42 @@ double time_kernel(const std::vector<double>& original, index_t n,
 }
 
 struct KernelRow {
+  std::string problem;
+  bool symmetric = false;
   index_t nfront = 0;
   index_t npiv = 0;
   double ref_s = 0.0;
   double blocked_s = 0.0;
   double flops = 0.0;
 };
+
+/// One vector width of schur_update at the factorization's shape.
+struct WidthRow {
+  std::string name;
+  double gflops = 0.0;
+};
+
+/// Seconds per schur_update call through `run` on an m x n x kb update
+/// (in place, so C drifts; the rate does not depend on its values).
+double time_schur(SchurKernel::Fn run, index_t m, index_t n, index_t kb,
+                  double min_seconds) {
+  Rng rng(7);
+  std::vector<double> a(static_cast<std::size_t>(m) * kb);
+  std::vector<double> b(static_cast<std::size_t>(kb) * n);
+  std::vector<double> c(static_cast<std::size_t>(m) * n);
+  for (std::vector<double>* v : {&a, &b, &c})
+    for (double& x : *v) x = rng.real(-1e-3, 1e-3);
+  run(m, n, kb, a.data(), m, b.data(), kb, c.data(), m);  // warm caches
+  int calls = 0;
+  const auto start = Clock::now();
+  double total = 0.0;
+  do {
+    run(m, n, kb, a.data(), m, b.data(), kb, c.data(), m);
+    ++calls;
+    total = seconds_since(start);
+  } while (total < min_seconds);
+  return total / calls;
+}
 
 struct ProblemRow {
   std::string name;
@@ -262,49 +302,68 @@ int main(int argc, char** argv) {
             << (opt.smoke ? ", smoke" : "") << ")\n\n";
   obs_args.begin();
 
-  // ---- 1. kernel sweep on the largest LU fronts ----------------------------
+  // ---- 1. kernel sweep on the largest fronts -------------------------------
   // PRE2 is the biggest unsymmetric Table-1 problem; its largest fronts
-  // are where the factorization spends its flops.
-  const Problem sweep_problem = make_problem(ProblemId::kPre2, opt.scale);
-  AnalysisOptions sweep_opt;
-  sweep_opt.ordering = OrderingKind::kNestedDissection;
-  const std::shared_ptr<const Analysis> sweep_analysis =
-      PreparedCache::global().analysis(sweep_problem.matrix, sweep_opt);
-  std::vector<index_t> by_size(
-      static_cast<std::size_t>(sweep_analysis->tree.num_nodes()));
-  for (std::size_t i = 0; i < by_size.size(); ++i)
-    by_size[i] = static_cast<index_t>(i);
-  std::sort(by_size.begin(), by_size.end(), [&](index_t a, index_t b) {
-    return sweep_analysis->tree.nfront(a) > sweep_analysis->tree.nfront(b);
-  });
+  // are where the factorization spends its flops. One LDLt front, the
+  // largest of SHIP_003, covers the symmetric kernel.
   const std::size_t sweep_fronts = opt.smoke ? 3 : 5;
   const int min_reps = opt.smoke ? 2 : 3;
-
   std::vector<KernelRow> kernel_rows;
+  for (const ProblemId id : {ProblemId::kPre2, ProblemId::kShip003}) {
+    const Problem p = make_problem(id, opt.scale);
+    AnalysisOptions aopt;
+    aopt.ordering = OrderingKind::kNestedDissection;
+    aopt.symmetric = p.symmetric;
+    const std::shared_ptr<const Analysis> analysis =
+        PreparedCache::global().analysis(p.matrix, aopt);
+    const AssemblyTree& tree = analysis->tree;
+    std::vector<index_t> by_size(static_cast<std::size_t>(tree.num_nodes()));
+    for (std::size_t i = 0; i < by_size.size(); ++i)
+      by_size[i] = static_cast<index_t>(i);
+    std::sort(by_size.begin(), by_size.end(), [&](index_t a, index_t b) {
+      return tree.nfront(a) > tree.nfront(b);
+    });
+    const std::size_t count = p.symmetric ? 1 : sweep_fronts;
+    for (std::size_t k = 0; k < std::min(count, by_size.size()); ++k) {
+      KernelRow row;
+      row.problem = p.name;
+      row.symmetric = p.symmetric;
+      row.nfront = tree.nfront(by_size[k]);
+      row.npiv = tree.npiv(by_size[k]);
+      if (row.nfront >= 2) kernel_rows.push_back(row);
+    }
+  }
+
   double ref_total = 0.0, blocked_total = 0.0;
-  TextTable ktable({"LU front (PRE2)", "npiv", "scalar (ms)", "blocked (ms)",
-                    "scalar GF/s", "blocked GF/s", "speedup x"});
-  for (std::size_t k = 0; k < std::min(sweep_fronts, by_size.size()); ++k) {
-    const index_t node = by_size[k];
-    KernelRow row;
-    row.nfront = sweep_analysis->tree.nfront(node);
-    row.npiv = sweep_analysis->tree.npiv(node);
-    if (row.nfront < 2) continue;
+  TextTable ktable({"front", "type", "nfront", "npiv", "scalar (ms)",
+                    "blocked (ms)", "scalar GF/s", "blocked GF/s",
+                    "speedup x"});
+  for (std::size_t k = 0; k < kernel_rows.size(); ++k) {
+    KernelRow& row = kernel_rows[k];
     row.flops = static_cast<double>(
-        elimination_flops(row.nfront, row.npiv, false));
-    const std::vector<double> original =
-        random_front(row.nfront, 1000 + static_cast<std::uint64_t>(k));
+        elimination_flops(row.nfront, row.npiv, row.symmetric));
+    const std::vector<double> original = random_front(
+        row.nfront, 1000 + static_cast<std::uint64_t>(k), row.symmetric);
+    const bool ldlt = row.symmetric;
     row.ref_s = time_kernel(
         original, row.nfront, row.npiv,
-        [](FrontView f, index_t np) { (void)partial_lu_reference(f, np); },
+        [ldlt](FrontView f, index_t np) {
+          (void)(ldlt ? partial_ldlt_reference(f, np)
+                      : partial_lu_reference(f, np));
+        },
         min_reps);
     row.blocked_s = time_kernel(
         original, row.nfront, row.npiv,
-        [](FrontView f, index_t np) { (void)partial_lu_blocked(f, np); },
+        [ldlt](FrontView f, index_t np) {
+          (void)(ldlt ? partial_ldlt_blocked(f, np)
+                      : partial_lu_blocked(f, np));
+        },
         min_reps);
     ref_total += row.ref_s;
     blocked_total += row.blocked_s;
     ktable.row();
+    ktable.cell(row.problem);
+    ktable.cell(row.symmetric ? "LDLt" : "LU");
     ktable.cell(static_cast<long>(row.nfront));
     ktable.cell(static_cast<long>(row.npiv));
     ktable.cell(row.ref_s * 1e3, 2);
@@ -312,12 +371,33 @@ int main(int argc, char** argv) {
     ktable.cell(row.flops / row.ref_s / 1e9, 2);
     ktable.cell(row.flops / row.blocked_s / 1e9, 2);
     ktable.cell(row.ref_s / row.blocked_s, 2);
-    kernel_rows.push_back(row);
   }
   const double kernel_speedup = ref_total / blocked_total;
   ktable.print(std::cout);
   std::cout << "\nkernel sweep single-thread speedup (total): "
             << kernel_speedup << "x\n\n";
+
+  // schur_update at the trailing-update shape of a large front (one
+  // panel against 1024 rows and columns) at every width this CPU runs:
+  // each width must beat the next narrower one to earn its place.
+  constexpr index_t kWidthM = 1024, kWidthKb = 48;
+  const std::span<const SchurKernel> widths = schur_kernels();
+  const std::string selected_width = widths.back().name;
+  std::vector<WidthRow> width_rows;
+  TextTable wtable({"schur_update width", "m = n", "kb", "GF/s"});
+  for (const SchurKernel& k : widths) {
+    const double s =
+        time_schur(k.run, kWidthM, kWidthM, kWidthKb, opt.smoke ? 0.1 : 0.3);
+    WidthRow row{k.name, 2.0 * kWidthM * kWidthM * kWidthKb / s / 1e9};
+    wtable.row();
+    wtable.cell(row.name + (row.name == selected_width ? " (selected)" : ""));
+    wtable.cell(static_cast<long>(kWidthM));
+    wtable.cell(static_cast<long>(kWidthKb));
+    wtable.cell(row.gflops, 2);
+    width_rows.push_back(row);
+  }
+  wtable.print(std::cout);
+  std::cout << '\n';
 
   // ---- 2. per-problem factorization sweep ----------------------------------
   TextTable ptable({"Matrix", "type", "GFlop", "scalar (s)", "blocked (s)",
@@ -557,10 +637,20 @@ int main(int argc, char** argv) {
        << "  \"scale\": " << opt.scale << ",\n"
        << "  \"threads\": " << threads << ",\n"
        << "  \"kernel_sweep_speedup\": " << kernel_speedup << ",\n"
+       << "  \"schur_width_selected\": \"" << selected_width << "\",\n"
+       << "  \"schur_widths\": [\n";
+  for (std::size_t i = 0; i < width_rows.size(); ++i)
+    json << "    {\"name\": \"" << width_rows[i].name << "\", \"m\": "
+         << kWidthM << ", \"n\": " << kWidthM << ", \"kb\": " << kWidthKb
+         << ", \"gflops\": " << width_rows[i].gflops << "}"
+         << (i + 1 < width_rows.size() ? "," : "") << "\n";
+  json << "  ],\n"
        << "  \"kernel_sweep\": [\n";
   for (std::size_t i = 0; i < kernel_rows.size(); ++i) {
     const KernelRow& r = kernel_rows[i];
-    json << "    {\"nfront\": " << r.nfront << ", \"npiv\": " << r.npiv
+    json << "    {\"problem\": \"" << r.problem << "\""
+         << ", \"kernel\": \"" << (r.symmetric ? "ldlt" : "lu") << "\""
+         << ", \"nfront\": " << r.nfront << ", \"npiv\": " << r.npiv
          << ", \"scalar_s\": " << r.ref_s
          << ", \"blocked_s\": " << r.blocked_s
          << ", \"blocked_gflops\": " << r.flops / r.blocked_s / 1e9 << "}"

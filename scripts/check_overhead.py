@@ -1,14 +1,22 @@
 #!/usr/bin/env python3
-"""Compare bench throughput between two builds and fail on regression.
+"""Compare bench throughput between two builds or modes; fail on regression.
 
-The disabled-overhead gates, both held to the same discipline:
+The overhead gates, all held to the same discipline (CI runs one
+matrix job per gate):
 
-  * MEMFRONT_OBS: span macros compiled in (tracing not enabled at
-    runtime) must stay within --threshold of a build with them
-    compiled out (MEMFRONT_OBS=OFF).
-  * MEMFRONT_FAULTS: fault-injection sites compiled in (no plan armed)
-    must stay within --threshold of a build with them compiled out
-    (MEMFRONT_FAULTS=OFF).
+  * obs: span macros compiled in (tracing not enabled at runtime) must
+    stay within --threshold of a build with them compiled out
+    (MEMFRONT_OBS=OFF); key single_run_events_per_sec (bench_perf).
+  * faults: fault-injection sites compiled in (no plan armed) must stay
+    within --threshold of a build with them compiled out
+    (MEMFRONT_FAULTS=OFF); key single_run_events_per_sec (bench_perf).
+  * ooc: the real out-of-core path compiled in (never enabled) must stay
+    within --threshold of a MEMFRONT_OOC_REAL=OFF build; key
+    incore_factor_entries_per_sec (bench_ooc --overhead-probe).
+  * sched: dynamic, policy-consulted dispatch (stealing on) must stay
+    within --threshold of determinism mode (steal=off) in the same
+    build; key sched_factor_entries_per_sec (bench_numeric
+    --sched-probe dynamic vs static).
 
 Both sides take one or more BENCH_*.json files (repeat runs); the best
 rate per side is compared, which filters scheduler noise the way
@@ -39,15 +47,15 @@ def best_rate(paths, key):
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--baseline", nargs="+", required=True,
-                    help="JSON files from the instrumentation-free build")
+                    help="JSON files from the feature-free build or mode")
     ap.add_argument("--candidate", nargs="+", required=True,
-                    help="JSON files from the compiled-in-but-disabled build")
+                    help="JSON files from the default build or mode")
     ap.add_argument("--key", default="single_run_events_per_sec")
     ap.add_argument("--threshold", type=float, default=0.02,
                     help="maximum fractional slowdown (default 2%%)")
     ap.add_argument("--label", default="instrumentation",
-                    help="which compiled-in feature is being gated "
-                         "(obs, faults, ...) -- used in messages only")
+                    help="which gate this is (obs, faults, ooc, sched) "
+                         "-- used in messages only")
     args = ap.parse_args()
 
     baseline = best_rate(args.baseline, args.key)
@@ -57,7 +65,7 @@ def main():
           f"candidate {candidate:,.0f}/s, overhead {overhead:+.2%} "
           f"(threshold {args.threshold:.0%})")
     if overhead > args.threshold:
-        print(f"FAIL: disabled-mode {args.label} overhead above threshold",
+        print(f"FAIL: {args.label} overhead above threshold",
               file=sys.stderr)
         return 1
     print("OK")

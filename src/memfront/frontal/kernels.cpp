@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "memfront/obs/span_tracer.hpp"
 #include "memfront/support/error.hpp"
@@ -15,11 +16,13 @@ namespace {
 constexpr index_t kPanelWidth = 48;
 constexpr index_t kRowTile = 128;
 constexpr index_t kColTile = 240;
+// Columns of one register tile; rhs_gemm_at_sub blocks kMicroRows x
+// kMicroCols.
 constexpr index_t kMicroRows = 4;
 constexpr index_t kMicroCols = 4;
 // Column-block width of a shared trailing update. A multiple of the
-// microkernel width, so a block's microkernel column groups are exactly
-// the single call's (see the header comment).
+// register tile's width, so a block's tiles are exactly the single
+// call's (see the header comment).
 constexpr index_t kShareCols = 32;
 static_assert(kShareCols % kMicroCols == 0 && kColTile % kMicroCols == 0);
 
@@ -27,55 +30,61 @@ inline std::size_t stride(index_t i, index_t ld) {
   return static_cast<std::size_t>(i) * static_cast<std::size_t>(ld);
 }
 
-/// 4x4 register-blocked microkernel: sixteen independent accumulator
-/// chains, each subtracting its products in increasing k — the same
-/// per-element operation sequence as the scalar rank-1 loop.
-inline void micro_4x4(index_t kb, const double* a, index_t lda,
-                      const double* b, index_t ldb, double* c, index_t ldc) {
-  const double* b0 = b;
-  const double* b1 = b + stride(1, ldb);
-  const double* b2 = b + stride(2, ldb);
-  const double* b3 = b + stride(3, ldb);
-  double* c0 = c;
-  double* c1 = c + stride(1, ldc);
-  double* c2 = c + stride(2, ldc);
-  double* c3 = c + stride(3, ldc);
-  double c00 = c0[0], c10 = c0[1], c20 = c0[2], c30 = c0[3];
-  double c01 = c1[0], c11 = c1[1], c21 = c1[2], c31 = c1[3];
-  double c02 = c2[0], c12 = c2[1], c22 = c2[2], c32 = c2[3];
-  double c03 = c3[0], c13 = c3[1], c23 = c3[2], c33 = c3[3];
+// Vector types of the register tile (GCC/Clang vector extensions), one C
+// element per lane. Plain typedefs: GCC drops vector_size from an alias
+// template without a word, hence the size check.
+typedef double Vec2 __attribute__((vector_size(16)));
+typedef double Vec4 __attribute__((vector_size(32)));
+typedef double Vec8 __attribute__((vector_size(64)));
+static_assert(sizeof(Vec2) == 16 && sizeof(Vec4) == 32 && sizeof(Vec8) == 64);
+
+/// Rows of a register tile: two vectors of V.
+template <typename V>
+constexpr index_t kTileRows = 2 * sizeof(V) / sizeof(double);
+
+/// Register tile: C(0:T, 0:4) -= A(0:T, 0:kb) · B(0:kb, 0:4), T the tile
+/// rows of V. Each lane is one C element with its own accumulator chain,
+/// `c = c - a*w` in increasing k (a product, then a difference:
+/// contraction is off): the scalar rank-1 loop's sequence. Loads and
+/// stores are unaligned, since a front column starts anywhere.
+template <typename V>
+[[gnu::always_inline]] inline void micro_tile(index_t kb, const double* a,
+                                              index_t lda, const double* b,
+                                              index_t ldb, double* c,
+                                              index_t ldc) {
+  constexpr index_t L = sizeof(V) / sizeof(double);
+  V acc[kMicroCols][2];
+#pragma GCC unroll 4
+  for (index_t j = 0; j < kMicroCols; ++j) {
+    std::memcpy(&acc[j][0], c + stride(j, ldc), sizeof(V));
+    std::memcpy(&acc[j][1], c + stride(j, ldc) + L, sizeof(V));
+  }
   const double* ak = a;
   for (index_t k = 0; k < kb; ++k, ak += lda) {
-    const double a0 = ak[0], a1 = ak[1], a2 = ak[2], a3 = ak[3];
-    const double w0 = b0[k], w1 = b1[k], w2 = b2[k], w3 = b3[k];
-    c00 -= a0 * w0;
-    c10 -= a1 * w0;
-    c20 -= a2 * w0;
-    c30 -= a3 * w0;
-    c01 -= a0 * w1;
-    c11 -= a1 * w1;
-    c21 -= a2 * w1;
-    c31 -= a3 * w1;
-    c02 -= a0 * w2;
-    c12 -= a1 * w2;
-    c22 -= a2 * w2;
-    c32 -= a3 * w2;
-    c03 -= a0 * w3;
-    c13 -= a1 * w3;
-    c23 -= a2 * w3;
-    c33 -= a3 * w3;
+    V av[2];
+    std::memcpy(&av[0], ak, sizeof(V));
+    std::memcpy(&av[1], ak + L, sizeof(V));
+#pragma GCC unroll 4
+    for (index_t j = 0; j < kMicroCols; ++j) {
+      const double w = b[stride(j, ldb) + k];  // splat into every lane
+      acc[j][0] -= av[0] * w;
+      acc[j][1] -= av[1] * w;
+    }
   }
-  c0[0] = c00, c0[1] = c10, c0[2] = c20, c0[3] = c30;
-  c1[0] = c01, c1[1] = c11, c1[2] = c21, c1[3] = c31;
-  c2[0] = c02, c2[1] = c12, c2[2] = c22, c2[3] = c32;
-  c3[0] = c03, c3[1] = c13, c3[2] = c23, c3[3] = c33;
+#pragma GCC unroll 4
+  for (index_t j = 0; j < kMicroCols; ++j) {
+    std::memcpy(c + stride(j, ldc), &acc[j][0], sizeof(V));
+    std::memcpy(c + stride(j, ldc) + L, &acc[j][1], sizeof(V));
+  }
 }
 
-/// Partial-tile fallback (mr <= 4, nr <= 4); same accumulator discipline.
+/// Ragged-edge fallback (mr <= T rows, nr <= 4 columns) in scalars; same
+/// accumulator discipline.
+template <index_t T>
 inline void micro_edge(index_t mr, index_t nr, index_t kb, const double* a,
                        index_t lda, const double* b, index_t ldb, double* c,
                        index_t ldc) {
-  double acc[kMicroRows][kMicroCols];
+  double acc[T][kMicroCols];
   for (index_t j = 0; j < nr; ++j)
     for (index_t i = 0; i < mr; ++i) acc[i][j] = c[stride(j, ldc) + i];
   const double* ak = a;
@@ -86,6 +95,75 @@ inline void micro_edge(index_t mr, index_t nr, index_t kb, const double* a,
     }
   for (index_t j = 0; j < nr; ++j)
     for (index_t i = 0; i < mr; ++i) c[stride(j, ldc) + i] = acc[i][j];
+}
+
+/// schur_update over vectors V: kColTile x kRowTile cache tiles, each cut
+/// into register tiles of kTileRows<V> x kMicroCols.
+template <typename V>
+[[gnu::always_inline]] inline void schur_tiles(index_t m, index_t n,
+                                               index_t kb, const double* a,
+                                               index_t lda, const double* b,
+                                               index_t ldb, double* c,
+                                               index_t ldc) {
+  constexpr index_t T = kTileRows<V>;
+  if (m <= 0 || n <= 0 || kb <= 0) return;
+  for (index_t jc = 0; jc < n; jc += kColTile) {
+    const index_t nc = std::min(kColTile, n - jc);
+    for (index_t ic = 0; ic < m; ic += kRowTile) {
+      const index_t mc = std::min(kRowTile, m - ic);
+      for (index_t j0 = 0; j0 < nc; j0 += kMicroCols) {
+        const index_t nr = std::min(kMicroCols, nc - j0);
+        const double* bt = b + stride(jc + j0, ldb);
+        for (index_t i0 = 0; i0 < mc; i0 += T) {
+          const index_t mr = std::min(T, mc - i0);
+          const double* at = a + (ic + i0);
+          double* ct = c + stride(jc + j0, ldc) + (ic + i0);
+          if (mr == T && nr == kMicroCols)
+            micro_tile<V>(kb, at, lda, bt, ldb, ct, ldc);
+          else
+            micro_edge<T>(mr, nr, kb, at, lda, bt, ldb, ct, ldc);
+        }
+      }
+    }
+  }
+}
+
+// One instantiation per vector width; the wider two are compiled for
+// their instruction sets and run only where the CPU has them.
+void schur_update_v2(index_t m, index_t n, index_t kb, const double* a,
+                     index_t lda, const double* b, index_t ldb, double* c,
+                     index_t ldc) {
+  schur_tiles<Vec2>(m, n, kb, a, lda, b, ldb, c, ldc);
+}
+
+#if defined(__x86_64__) || defined(__i386__)
+[[gnu::target("avx2")]] void schur_update_v4(index_t m, index_t n, index_t kb,
+                                             const double* a, index_t lda,
+                                             const double* b, index_t ldb,
+                                             double* c, index_t ldc) {
+  schur_tiles<Vec4>(m, n, kb, a, lda, b, ldb, c, ldc);
+}
+
+[[gnu::target("avx512f")]] void schur_update_v8(
+    index_t m, index_t n, index_t kb, const double* a, index_t lda,
+    const double* b, index_t ldb, double* c, index_t ldc) {
+  schur_tiles<Vec8>(m, n, kb, a, lda, b, ldb, c, ldc);
+}
+#endif
+
+/// The widths this CPU can run, narrowest first.
+std::vector<SchurKernel> host_schur_kernels() {
+#if defined(__x86_64__) || defined(__i386__)
+  std::vector<SchurKernel> kernels{{"sse2", schur_update_v2}};
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx2"))
+    kernels.push_back({"avx2", schur_update_v4});
+  if (__builtin_cpu_supports("avx512f"))
+    kernels.push_back({"avx512f", schur_update_v8});
+  return kernels;
+#else
+  return {{"generic", schur_update_v2}};
+#endif
 }
 
 /// Static pivoting: perturb a numerically tiny pivot instead of delaying
@@ -132,29 +210,16 @@ void trailing_update(FrontTeam* team, index_t n, index_t k0, index_t k1,
 
 }  // namespace
 
+std::span<const SchurKernel> schur_kernels() {
+  static const std::vector<SchurKernel> kernels = host_schur_kernels();
+  return kernels;
+}
+
 void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t lda, const double* b, index_t ldb, double* c,
                   index_t ldc) {
-  if (m <= 0 || n <= 0 || kb <= 0) return;
-  for (index_t jc = 0; jc < n; jc += kColTile) {
-    const index_t nc = std::min(kColTile, n - jc);
-    for (index_t ic = 0; ic < m; ic += kRowTile) {
-      const index_t mc = std::min(kRowTile, m - ic);
-      for (index_t j0 = 0; j0 < nc; j0 += kMicroCols) {
-        const index_t nr = std::min(kMicroCols, nc - j0);
-        const double* bt = b + stride(jc + j0, ldb);
-        for (index_t i0 = 0; i0 < mc; i0 += kMicroRows) {
-          const index_t mr = std::min(kMicroRows, mc - i0);
-          const double* at = a + (ic + i0);
-          double* ct = c + stride(jc + j0, ldc) + (ic + i0);
-          if (mr == kMicroRows && nr == kMicroCols)
-            micro_4x4(kb, at, lda, bt, ldb, ct, ldc);
-          else
-            micro_edge(mr, nr, kb, at, lda, bt, ldb, ct, ldc);
-        }
-      }
-    }
-  }
+  static const SchurKernel::Fn widest = schur_kernels().back().run;
+  widest(m, n, kb, a, lda, b, ldb, c, ldc);
 }
 
 PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv,

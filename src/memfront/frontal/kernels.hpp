@@ -9,21 +9,25 @@
 // element — and the operands of each product are the same finished panel
 // entries. Register blocking reorders work *across* elements (which FP
 // arithmetic cannot observe), never within one element's update chain, and
-// no partial products are pre-accumulated. Pivot search is untouched, so
-// pivot sequences are identical too.
+// no partial products are pre-accumulated. The SIMD register tile keeps
+// one element per vector lane, and the library builds with
+// -ffp-contract=off so no product is fused into its subtraction. Pivot
+// search is untouched, so pivot sequences are identical too.
 //
 // Intra-front parallelism rides on the same invariant. Each panel's
 // trailing work — the U12 triangular solve (LU) or the mirrored pivot
 // rows (LDLt), then the Schur update — is independent per column, so a
 // large update can be split into column blocks run by a FrontTeam. Every
-// block starts a multiple of 4 columns past the panel, so each element
-// is computed by the same microkernel call shape, with the same operands
-// in the same order, as in the single unsplit call: the split moves
-// whole elements between threads, never a part of one element's chain.
+// block starts a multiple of 4 columns (the register tile's width) past
+// the panel, so each element is computed by the same register-tile call,
+// with the same operands in the same order, as in the single unsplit
+// call: the split moves whole elements between threads, never a part of
+// one element's chain.
 #pragma once
 
 #include <cstddef>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "memfront/support/types.hpp"
@@ -80,11 +84,27 @@ class FrontTeam {
 };
 
 /// C(0:m,0:n) -= A(0:m,0:kb) * B(0:kb,0:n), all column-major with leading
-/// dimensions lda/ldb/ldc. Cache-tiled with a register-blocked microkernel;
-/// per-element update order is increasing k (see header comment).
+/// dimensions lda/ldb/ldc. Cache-tiled with a SIMD register tile, one C
+/// element per vector lane; per-element update order is increasing k
+/// (see header comment). Runs the widest of schur_kernels().
 void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t lda, const double* b, index_t ldb, double* c,
                   index_t ldc);
+
+/// One vector width of schur_update: "sse2" (16-byte vectors, the
+/// baseline x86-64 build; "generic" on other CPUs), "avx2" (32-byte) or
+/// "avx512f" (64-byte). Every width computes the same bits.
+struct SchurKernel {
+  using Fn = void (*)(index_t m, index_t n, index_t kb, const double* a,
+                      index_t lda, const double* b, index_t ldb, double* c,
+                      index_t ldc);
+  const char* name;
+  Fn run;
+};
+
+/// The widths this CPU runs, narrowest first; the last is the one
+/// schur_update picks. A seam for tests and benches, not an option.
+std::span<const SchurKernel> schur_kernels();
 
 /// Blocked right-looking partial LU with row pivoting among the
 /// fully-summed rows. Semantics (and bits) of partial_lu_reference, with
@@ -101,8 +121,8 @@ PartialFactorResult partial_ldlt_blocked(FrontView front, index_t npiv,
                                          FrontTeam* team = nullptr);
 
 /// Smallest trailing update (2·m²·panel-width flops, m = trailing order)
-/// the blocked kernels hand to a team: about half a millisecond of
-/// single-core work, far above the cost of waking a helper.
+/// the blocked kernels hand to a team: about 0.2 ms of single-core work
+/// with the AVX-512 tile, far above the cost of waking a helper.
 inline constexpr double kShareMinFlops = 4.0e6;
 
 /// The pre-blocking scalar kernels, verbatim: the bit-exactness baseline

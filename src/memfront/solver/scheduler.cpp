@@ -393,11 +393,16 @@ void NumericScheduler::for_each(std::size_t n,
   bool posted = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (waiting_ > 0 && !failed_) {
+    // Post whenever another worker holds no task, asleep or not: one
+    // that is still on its way to sleep (say, preempted right after its
+    // last completion) joins when it gets there.
+    if (running_ < deques_.size() && !failed_) {
       job.seq = stats_.shared_updates++;
       jobs_.push_back(&job);
-      stats_.helper_wakeups += waiting_;
-      cv_.notify_all();
+      if (waiting_ > 0) {
+        stats_.helper_wakeups += waiting_;
+        cv_.notify_all();
+      }
       posted = true;
     }
   }
@@ -470,6 +475,7 @@ bool NumericScheduler::next_task(unsigned w, Task& out) {
       ws.running_flops = task_flops(t);
       if (t.kind == Task::Kind::kSubtree)
         ws.running_subtree_peak = task_window(t);
+      ++running_;
       out = t;
       return true;
     }
@@ -494,6 +500,7 @@ void NumericScheduler::complete(unsigned w, const Task& task) {
   ws.charged -= ooc_budget_ > 0 ? 0 : task_window(task);
   ws.running_flops = 0;
   ws.running_subtree_peak = 0;
+  --running_;
   ++stats_.completions;
 
   const index_t node = task.kind == Task::Kind::kSubtree

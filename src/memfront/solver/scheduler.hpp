@@ -200,8 +200,9 @@ class NumericScheduler final : public FrontTeam {
   bool next_task(unsigned w, Task& out);
 
   /// FrontTeam: runs the blocks on the calling worker, shared with any
-  /// workers sleeping in next_task right now (none sleeping: all inline).
-  /// Returns only after every helper that joined has left the job.
+  /// worker that holds no task right now (sleeping in next_task or on its
+  /// way there; every other worker busy: all inline). Returns only after
+  /// every helper that joined has left the job.
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& body) override;
 
@@ -294,6 +295,7 @@ class NumericScheduler final : public FrontTeam {
   std::vector<index_t> deps_;              ///< upper node -> open children
   std::size_t remaining_ = 0;
   std::size_t waiting_ = 0;
+  std::size_t running_ = 0;  ///< workers holding a dispatched task
   bool failed_ = false;
   /// Posted front updates still listed for helpers (owners' frames).
   std::vector<SharedJob*> jobs_;

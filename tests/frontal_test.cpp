@@ -5,7 +5,7 @@
 #include "memfront/frontal/block_cyclic.hpp"
 #include "memfront/frontal/dense_matrix.hpp"
 #include "memfront/frontal/extend_add.hpp"
-#include "memfront/frontal/partial_factor.hpp"
+#include "memfront/frontal/kernels.hpp"
 #include "memfront/support/rng.hpp"
 
 namespace memfront {
@@ -25,6 +25,11 @@ DenseMatrix random_dominant(index_t n, std::uint64_t seed) {
   return m;
 }
 
+/// The blocked kernels' view of a square DenseMatrix.
+FrontView view(DenseMatrix& m) {
+  return {m.data().data(), m.rows(), m.rows()};
+}
+
 DenseMatrix random_spd(index_t n, std::uint64_t seed) {
   DenseMatrix a = random_dominant(n, seed);
   DenseMatrix s(n, n);
@@ -39,7 +44,7 @@ DenseMatrix random_spd(index_t n, std::uint64_t seed) {
 void check_partial_lu(index_t n, index_t npiv, std::uint64_t seed) {
   const DenseMatrix original = random_dominant(n, seed);
   DenseMatrix work = original;
-  const PartialFactorResult pf = partial_lu(work, npiv);
+  const PartialFactorResult pf = partial_lu_blocked(view(work), npiv);
   ASSERT_EQ(static_cast<index_t>(pf.pivot_rows.size()), npiv);
   EXPECT_EQ(pf.perturbations, 0);
 
@@ -78,7 +83,7 @@ TEST(PartialLu, PivotingPicksLargestFullySummed) {
   m(0, 1) = 1.0;
   m(1, 1) = 1.0;
   m(2, 2) = 1.0;
-  const PartialFactorResult pf = partial_lu(m, 2);
+  const PartialFactorResult pf = partial_lu_blocked(view(m), 2);
   EXPECT_EQ(pf.pivot_rows[0], 1);
 }
 
@@ -88,7 +93,7 @@ TEST(PartialLu, PerturbsSingularPivot) {
   m(1, 0) = 0.0;
   m(1, 1) = 1.0;
   // npiv=1 and the only eligible pivot is exactly zero.
-  const PartialFactorResult pf = partial_lu(m, 1);
+  const PartialFactorResult pf = partial_lu_blocked(view(m), 1);
   EXPECT_EQ(pf.perturbations, 1);
 }
 
@@ -96,7 +101,7 @@ TEST(PartialLdlt, ReconstructsSymmetricMatrix) {
   const index_t n = 10, npiv = 10;
   const DenseMatrix original = random_spd(n, 5);
   DenseMatrix work = original;
-  const PartialFactorResult pf = partial_ldlt(work, npiv);
+  const PartialFactorResult pf = partial_ldlt_blocked(view(work), npiv);
   EXPECT_EQ(pf.perturbations, 0);
   // A == L D Lᵀ with L unit lower (panel), D the diagonal.
   for (index_t i = 0; i < n; ++i)
@@ -115,7 +120,7 @@ TEST(PartialLdlt, ReconstructsSymmetricMatrix) {
 TEST(PartialLdlt, SchurComplementSymmetric) {
   const index_t n = 12, npiv = 5;
   DenseMatrix work = random_spd(n, 6);
-  partial_ldlt(work, npiv);
+  partial_ldlt_blocked(view(work), npiv);
   for (index_t r = npiv; r < n; ++r)
     for (index_t c = npiv; c < n; ++c)
       EXPECT_NEAR(work(r, c), work(c, r), 1e-9);

@@ -1,15 +1,18 @@
 // Blocked frontal kernels vs the pre-blocking scalar references: the
 // blocked panel/TRSM/GEMM pipeline must reproduce the scalar kernels bit
 // for bit (pivot sequences AND every stored value), alone and with its
-// large trailing updates split over a team of threads, the signbit
-// perturbation fix, the mapped extend-add scatter, and the arena's LIFO
-// discipline.
+// large trailing updates split over a team of threads; every SIMD width
+// of schur_update against the rank-1 chain; the signbit perturbation
+// fix, the mapped extend-add scatter, and the arena's LIFO discipline.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <span>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "memfront/frontal/arena.hpp"
@@ -180,29 +183,76 @@ TEST(NumericKernels, SmallUpdatesNeverReachTheTeam) {
   EXPECT_EQ(team.calls, 0u);
 }
 
-TEST(NumericKernels, SchurUpdateMatchesScalarRankUpdates) {
-  // C -= A·B must equal the k-ordered sequence of rank-1 subtractions
-  // bit for bit (that equivalence is what makes the blocked kernels
-  // exact drop-ins).
-  const index_t m = 37, n = 29, kb = 13;
-  Rng rng(99);
-  std::vector<double> a(static_cast<std::size_t>(m) * kb);
-  std::vector<double> b(static_cast<std::size_t>(kb) * n);
-  std::vector<double> c(static_cast<std::size_t>(m) * n);
-  for (double& v : a) v = rng.real(-1.0, 1.0);
-  for (double& v : b) v = rng.real(-1.0, 1.0);
-  for (double& v : c) v = rng.real(-1.0, 1.0);
+/// Random operand with -0.0 and subnormals sprinkled in.
+std::vector<double> schur_operand(std::size_t size, Rng& rng) {
+  std::vector<double> v(size);
+  for (std::size_t i = 0; i < size; ++i) {
+    v[i] = rng.real(-1.0, 1.0);
+    if (i % 7 == 2) v[i] = -0.0;
+    if (i % 31 == 5) v[i] *= 1e-310;  // subnormal (slow arithmetic: sparse)
+  }
+  return v;
+}
+
+/// C -= A·B through `run` must equal the k-ordered sequence of rank-1
+/// subtractions bit for bit, and leave the padding rows of C alone.
+void check_schur(SchurKernel::Fn run, index_t m, index_t n, index_t kb,
+                 std::uint64_t seed) {
+  // Leading dimensions past the operand rows: odd, so columns start at
+  // every alignment.
+  const index_t lda = m + 3, ldb = kb + 1, ldc = m + 5;
+  Rng rng(seed);
+  const std::vector<double> a =
+      schur_operand(static_cast<std::size_t>(lda) * kb, rng);
+  const std::vector<double> b =
+      schur_operand(static_cast<std::size_t>(ldb) * n, rng);
+  std::vector<double> c =
+      schur_operand(static_cast<std::size_t>(ldc) * n, rng);
   std::vector<double> expected = c;
   for (index_t k = 0; k < kb; ++k)
     for (index_t j = 0; j < n; ++j) {
-      const double w = b[static_cast<std::size_t>(j) * kb + k];
+      const double w = b[static_cast<std::size_t>(j) * ldb + k];
       for (index_t i = 0; i < m; ++i)
-        expected[static_cast<std::size_t>(j) * m + i] -=
-            a[static_cast<std::size_t>(k) * m + i] * w;
+        expected[static_cast<std::size_t>(j) * ldc + i] -=
+            a[static_cast<std::size_t>(k) * lda + i] * w;
     }
-  schur_update(m, n, kb, a.data(), m, b.data(), kb, c.data(), m);
-  EXPECT_EQ(0, std::memcmp(c.data(), expected.data(),
-                           c.size() * sizeof(double)));
+  run(m, n, kb, a.data(), lda, b.data(), ldb, c.data(), ldc);
+  // No memcmp on an empty C (n = 0): its data() may be null.
+  ASSERT_TRUE(c.empty() || std::memcmp(c.data(), expected.data(),
+                                       c.size() * sizeof(double)) == 0)
+      << "m=" << m << " n=" << n << " kb=" << kb;
+}
+
+TEST(NumericKernels, SchurUpdateMatchesScalarRankUpdates) {
+  // C -= A·B must equal the k-ordered sequence of rank-1 subtractions
+  // bit for bit (that equivalence is what makes the blocked kernels
+  // exact drop-ins), at every vector width this CPU runs, not only the
+  // one schur_update picks. Row counts straddle every register tile (4,
+  // 8 and 16 rows) and the 128-row cache tile; column counts straddle
+  // the 4-column tile, the 32-column share block and the 240-column
+  // cache tile.
+  const std::span<const SchurKernel> kernels = schur_kernels();
+  ASSERT_FALSE(kernels.empty());
+  std::vector<std::pair<std::string, SchurKernel::Fn>> runs;
+  for (const SchurKernel& k : kernels) runs.emplace_back(k.name, k.run);
+  runs.emplace_back("schur_update", schur_update);
+  std::vector<std::pair<index_t, index_t>> shapes;
+  for (const index_t m : {0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 127,
+                          128, 129, 240, 241})
+    for (const index_t n : {0, 1, 5, 33}) shapes.emplace_back(m, n);
+  for (const index_t n : {2, 3, 4, 31, 32, 128, 129, 240, 241})
+    for (const index_t m : {1, 17, 33}) shapes.emplace_back(m, n);
+  for (const index_t mn : {128, 129, 240, 241}) shapes.emplace_back(mn, mn);
+  shapes.emplace_back(241, 129);
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    std::uint64_t seed = 0;
+    for (const index_t kb : {1, 13, 48})
+      for (const auto& [m, n] : shapes) {
+        check_schur(run, m, n, kb, ++seed);
+        if (HasFatalFailure()) return;
+      }
+  }
 }
 
 TEST(NumericKernels, SignbitPreservingPerturbation) {
