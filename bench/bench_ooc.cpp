@@ -7,12 +7,12 @@
 // the factorization, and what does squeezing cost?
 //
 // The last section validates the *simulator against the real spill
-// path* (MEMFRONT_OOC_REAL): every Table 1 matrix is factorized for
-// real under a budget, in both I/O disciplines, and the measured
-// factor traffic, stall and overlap are held against the simulated
-// prediction within stated tolerances. Violations make the binary
-// exit nonzero, so CI gates on the sim-vs-real agreement. Results are
-// also written to BENCH_ooc.json (--json PATH).
+// path*: every Table 1 matrix is factorized for real under a budget,
+// in both I/O disciplines, and the measured factor traffic, stall and
+// overlap are held against the simulated prediction within stated
+// tolerances. Violations make the binary exit nonzero, so CI gates on
+// the sim-vs-real agreement. Results are also written to BENCH_ooc.json
+// (--json PATH).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -35,7 +35,6 @@ struct OocCli {
   double scale = 1.0;
   index_t nprocs = 32;
   bool smoke = false;
-  bool overhead_probe = false;
   unsigned threads = 4;
   std::string json_path = "BENCH_ooc.json";
 };
@@ -43,7 +42,6 @@ struct OocCli {
 [[noreturn]] void usage(const char* argv0) {
   std::cerr << "usage: " << argv0
             << " [scale] [nprocs] [--smoke] [--threads N] [--json PATH]"
-               " [--overhead-probe]"
                " [--trace-out FILE] [--metrics-out FILE]\n";
   std::exit(2);
 }
@@ -54,8 +52,6 @@ OocCli parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--smoke") == 0) {
       opt.smoke = true;
-    } else if (std::strcmp(argv[i], "--overhead-probe") == 0) {
-      opt.overhead_probe = true;
     } else if (std::strcmp(argv[i], "--threads") == 0) {
       if (i + 1 >= argc) usage(argv[0]);
       opt.threads = static_cast<unsigned>(std::atoi(argv[++i]));
@@ -75,8 +71,7 @@ OocCli parse(int argc, char** argv) {
   return opt;
 }
 
-/// One problem's sim-vs-real record (real side only built when the
-/// real spill path is compiled in).
+/// One problem's sim-vs-real record.
 struct SimRealRow {
   std::string name;
   // Simulated (workload-strategy leg, 1.2x budget).
@@ -115,40 +110,6 @@ int main(int argc, char** argv) {
   BenchOptions opt;
   opt.scale = cli.scale;
   opt.nprocs = cli.nprocs;
-
-  // ---- disabled-mode overhead probe ---------------------------------------
-  // The check_overhead.py measurement mode: time the *in-core* numeric
-  // factorization -- the hot path that carries the compiled-in OOC
-  // branches, all dormant -- so a -DMEMFRONT_OOC_REAL=OFF build can be
-  // held against the default build. Best-of-N inside one process, and
-  // CI repeats the binary; the gate takes the best rate per side.
-  // Skips the simulation tables: the probe must be cheap to repeat.
-  if (cli.overhead_probe) {
-    const Problem p = make_problem(ProblemId::kPre2, cli.scale);
-    AnalysisOptions aopt;
-    aopt.ordering = OrderingKind::kNestedDissection;
-    const Analysis analysis = analyze(p.matrix, aopt);
-    // Best-of-N: the max rate estimates the noise-free floor, and on a
-    // shared runner the floor needs many draws to show up.
-    double best_rate = 0;
-    for (int rep = 0; rep < 12; ++rep) {
-      const auto t0 = std::chrono::steady_clock::now();
-      const Factorization f = numeric_factorize(analysis);
-      const double s =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count();
-      if (s > 0)
-        best_rate = std::max(
-            best_rate, static_cast<double>(f.stats.factor_entries) / s);
-    }
-    std::cout << "overhead probe (" << p.name << ", scale=" << cli.scale
-              << "): best " << best_rate / 1e6 << " M factor entries/s\n";
-    std::ofstream probe(cli.json_path);
-    probe << "{\n  \"bench\": \"bench_ooc\",\n"
-          << "  \"mode\": \"overhead-probe\",\n"
-          << "  \"incore_factor_entries_per_sec\": " << best_rate << "\n}\n";
-    return 0;
-  }
 
   std::cout << "Out-of-core planner: minimum feasible per-processor budget\n"
             << opt.nprocs << " simulated processors, scale=" << opt.scale
@@ -282,7 +243,6 @@ int main(int argc, char** argv) {
   int violations = 0;
   std::vector<SimRealRow> sim_real;
   std::vector<PolicyMakespanRow> policy_makespan;
-#if MEMFRONT_OOC_REAL
   constexpr double kFactorTol = 0.05;  // relative factor-volume mismatch
   constexpr double kStallTol = 0.35;   // real-worse-than-sim stall margin
   std::cout << "\nSim vs real out-of-core execution (real runs: "
@@ -458,10 +418,6 @@ int main(int argc, char** argv) {
                "with spill == reload.\n";
   if (violations > 0)
     std::cout << violations << " sim-vs-real violation(s) -- FAILING.\n";
-#else
-  std::cout << "\n(real out-of-core execution compiled out: sim-vs-real "
-               "section skipped)\n";
-#endif  // MEMFRONT_OOC_REAL
 
   // ---- BENCH_ooc.json ------------------------------------------------------
   std::ofstream json(cli.json_path);

@@ -10,9 +10,6 @@ matrix job per gate):
   * faults: fault-injection sites compiled in (no plan armed) must stay
     within --threshold of a build with them compiled out
     (MEMFRONT_FAULTS=OFF); key single_run_events_per_sec (bench_perf).
-  * ooc: the real out-of-core path compiled in (never enabled) must stay
-    within --threshold of a MEMFRONT_OOC_REAL=OFF build; key
-    incore_factor_entries_per_sec (bench_ooc --overhead-probe).
   * sched: dynamic, policy-consulted dispatch (stealing on) must stay
     within --threshold of determinism mode (steal=off) in the same
     build; key sched_factor_entries_per_sec (bench_numeric

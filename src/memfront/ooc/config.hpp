@@ -7,13 +7,6 @@
 #include "memfront/ooc/spill.hpp"
 #include "memfront/support/types.hpp"
 
-// Compile-time master switch of the *real* spill path (CMake option
-// MEMFRONT_OOC_REAL, default ON). When OFF, the numeric drivers reject
-// OocExecConfig::enabled and the budget-gated branches compile out.
-#ifndef MEMFRONT_OOC_REAL
-#define MEMFRONT_OOC_REAL 1
-#endif
-
 namespace memfront {
 
 /// I/O discipline of the out-of-core mode: how the processor interacts

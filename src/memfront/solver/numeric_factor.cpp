@@ -14,7 +14,6 @@ namespace memfront {
 
 namespace {
 
-#if MEMFRONT_OOC_REAL
 /// The out-of-core variant of the sequential loop: same postorder, same
 /// process_front/extract_cb split — but every storage decision routes
 /// through the OocCoordinator's budget gate instead of the LIFO arena,
@@ -86,7 +85,6 @@ Factorization factorize_ooc(const Analysis& analysis,
   obs::record_factor_stats(fact.stats);
   return fact;
 }
-#endif  // MEMFRONT_OOC_REAL
 
 }  // namespace
 
@@ -102,17 +100,11 @@ Factorization numeric_factorize(const Analysis& analysis,
   // Denominator of the pivot-growth report; one O(nnz) scan.
   const double amax = analysis.permuted->max_abs_value();
   if (options.ooc.enabled) {
-#if MEMFRONT_OOC_REAL
     std::optional<CscMatrix> at_ooc;
     if (!analysis.tree.symmetric())
       at_ooc = analysis.permuted->transpose();
     return factorize_ooc(analysis, options, at_ooc ? &*at_ooc : nullptr,
                          amax);
-#else
-    require(false,
-            "numeric_factorize: out-of-core execution requested but the "
-            "build has MEMFRONT_OOC_REAL=OFF");
-#endif
   }
   const AssemblyTree& tree = analysis.tree;
   const bool sym = tree.symmetric();

@@ -309,27 +309,14 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   split_subtree_nodes(rt.subtrees, analysis.traversal, rt.subtree_nodes,
                       rt.upper_nodes);
 
-  // Whole-subtree tasks go to the worker their LPT processor folds onto;
-  // each worker's share is ordered biggest subtree first (the LPT order).
-  std::vector<std::vector<index_t>> worker_subtrees(workers);
-  for (index_t s = 0; s < num_subtrees; ++s)
-    worker_subtrees[static_cast<std::size_t>(
-                        rt.subtrees.proc[static_cast<std::size_t>(s)]) %
-                    workers]
-        .push_back(s);
-  for (auto& list : worker_subtrees)
-    std::sort(list.begin(), list.end(), [&](index_t a, index_t b) {
-      const count_t fa = rt.subtrees.flops[static_cast<std::size_t>(a)];
-      const count_t fb = rt.subtrees.flops[static_cast<std::size_t>(b)];
-      return fa != fb ? fa > fb : a < b;
-    });
-
   rt.cb_heap.resize(static_cast<std::size_t>(nn));
   rt.cb_arena.assign(static_cast<std::size_t>(nn), nullptr);
 
+  // Whole-subtree tasks start on the worker their LPT processor folds
+  // onto, biggest subtree first.
   NumericScheduler sched(
-      tree, rt.subtrees, rt.subtree_nodes, rt.upper_nodes, worker_subtrees,
-      workers, options.sched,
+      tree, rt.subtrees, rt.subtree_nodes, rt.upper_nodes,
+      fold_subtrees(rt.subtrees, workers), workers, options.sched,
       options.ooc.enabled ? options.ooc.budget_doubles : 0);
   rt.sched = &sched;
 
@@ -337,7 +324,6 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   // scheduler: its sched hooks call back into it.
   std::unique_ptr<OocCoordinator> ooc;
   if (options.ooc.enabled) {
-#if MEMFRONT_OOC_REAL
     ooc = std::make_unique<OocCoordinator>(options.ooc, tree,
                                            static_cast<index_t>(workers));
     ooc->set_sched_hooks(
@@ -348,11 +334,6 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
            sched.add_ooc_charge(w, delta);
          }});
     rt.ooc = ooc.get();
-#else
-    require(false,
-            "parallel_numeric_factorize: out-of-core execution requested "
-            "but the build has MEMFRONT_OOC_REAL=OFF");
-#endif
   }
 
   const auto wall_t0 = std::chrono::steady_clock::now();

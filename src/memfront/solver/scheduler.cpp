@@ -53,6 +53,21 @@ void split_subtree_nodes(const Subtrees& subtrees,
   }
 }
 
+std::vector<std::vector<index_t>> fold_subtrees(const Subtrees& subtrees,
+                                                unsigned workers) {
+  std::vector<std::vector<index_t>> shares(workers);
+  for (std::size_t s = 0; s < subtrees.roots.size(); ++s)
+    shares[static_cast<std::size_t>(subtrees.proc[s]) % workers].push_back(
+        static_cast<index_t>(s));
+  for (auto& share : shares)
+    std::sort(share.begin(), share.end(), [&](index_t a, index_t b) {
+      const count_t fa = subtrees.flops[static_cast<std::size_t>(a)];
+      const count_t fb = subtrees.flops[static_cast<std::size_t>(b)];
+      return fa != fb ? fa > fb : a < b;
+    });
+  return shares;
+}
+
 count_t predict_subtree_arena_peak(const AssemblyTree& tree,
                                    std::span<const index_t> nodes,
                                    index_t root) {
@@ -126,10 +141,12 @@ NumericScheduler::NumericScheduler(
     const std::vector<std::vector<index_t>>& subtree_nodes,
     std::span<const index_t> upper_nodes,
     const std::vector<std::vector<index_t>>& worker_subtrees, unsigned workers,
-    const RealSchedOptions& options, count_t ooc_budget_doubles)
+    const RealSchedOptions& options, count_t ooc_budget_doubles,
+    Direction direction)
     : tree_(tree),
       subtrees_(subtrees),
       options_(options),
+      direction_(direction),
       host_(tree, subtrees,
             [&] {
               subtree_peak_.reserve(subtree_nodes.size());
@@ -156,6 +173,17 @@ NumericScheduler::NumericScheduler(
 
   deques_.resize(workers);
   started_.assign(workers, 0);
+  remaining_ = subtrees.roots.size() + upper_nodes.size();
+  if (direction_ == Direction::kDownward) {
+    // Every root starts ready, spread across the deques; each further
+    // task is readied by its parent's completion. There is no static
+    // share to drain, so idle workers must steal.
+    check(options_.steal, "scheduler: a downward run requires stealing");
+    unsigned seed_w = 0;
+    for (index_t r : tree.roots())
+      push_task_locked(seed_w++ % workers, task_of(r));
+    return;
+  }
   // worker_subtrees[w] arrives largest-first; the deque dispatches from
   // the back, so push in reverse: back = the worker's biggest subtree
   // (the LPT order), front = the cold end thieves take from.
@@ -179,7 +207,6 @@ NumericScheduler::NumericScheduler(
       shared_ready_.push_back(i);
     }
   }
-  remaining_ = subtrees.roots.size() + upper_nodes.size();
 }
 
 NumericScheduler::~NumericScheduler() = default;
@@ -187,6 +214,12 @@ NumericScheduler::~NumericScheduler() = default;
 double NumericScheduler::now_locked() const {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_)
       .count();
+}
+
+NumericScheduler::Task NumericScheduler::task_of(index_t node) const {
+  const index_t s = subtrees_.node_subtree[static_cast<std::size_t>(node)];
+  return s == kNone ? Task{Task::Kind::kUpper, node}
+                    : Task{Task::Kind::kSubtree, s};
 }
 
 count_t NumericScheduler::task_window(const Task& t) const {
@@ -503,28 +536,39 @@ void NumericScheduler::complete(unsigned w, const Task& task) {
   --running_;
   ++stats_.completions;
 
-  const index_t node = task.kind == Task::Kind::kSubtree
-                           ? subtrees_.roots[static_cast<std::size_t>(task.id)]
-                           : task.id;
-  const index_t parent = tree_.parent(node);
-  bool readied = false;
-  if (parent != kNone &&
-      --deps_[static_cast<std::size_t>(parent)] == 0) {
-    // The parent (always an upper node) became ready: locality says it
-    // lands on the completing worker's deque; idle workers steal it.
-    if (options_.steal)
-      push_task_locked(w, Task{Task::Kind::kUpper, parent});
-    else
-      shared_ready_.push_back(parent);
-    readied = true;
+  // Readied tasks land on the completing worker's deque (locality);
+  // idle workers steal them.
+  std::size_t readied = 0;
+  if (direction_ == Direction::kUpward) {
+    const index_t node =
+        task.kind == Task::Kind::kSubtree
+            ? subtrees_.roots[static_cast<std::size_t>(task.id)]
+            : task.id;
+    const index_t parent = tree_.parent(node);
+    if (parent != kNone && --deps_[static_cast<std::size_t>(parent)] == 0) {
+      // The parent is always an upper node.
+      if (options_.steal)
+        push_task_locked(w, Task{Task::Kind::kUpper, parent});
+      else
+        shared_ready_.push_back(parent);
+      readied = 1;
+    }
+  } else if (task.kind == Task::Kind::kUpper) {
+    // Each child is an upper node or the root of a whole subtree; a
+    // subtree task readies nothing (its nodes are all its own).
+    for (index_t child : tree_.children(task.id))
+      push_task_locked(w, task_of(child));
+    readied = tree_.children(task.id).size();
   }
   --remaining_;
-  // Targeted wakeups: sleepers only care when a task became ready (one
-  // of them can take it) or the pool drained (all of them must exit).
+  // Targeted wakeups: sleepers only care when tasks became ready (one
+  // sleeper per task can take one) or the pool drained (all of them must
+  // exit).
   if (remaining_ == 0) {
     if (waiting_ > 0) notify_all_locked();
-  } else if (readied && waiting_ > 0) {
-    notify_one_locked();
+  } else {
+    for (std::size_t k = std::min(readied, waiting_); k > 0; --k)
+      notify_one_locked();
   }
 }
 

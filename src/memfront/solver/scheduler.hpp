@@ -1,5 +1,6 @@
 // Dynamic, policy-consulted scheduling of the real tree-parallel
-// factorization — the sim→real loop closed.
+// factorization — the sim→real loop closed — and the one tree-task
+// runtime the solve sweeps run on too.
 //
 // The simulator's SchedulerPolicy objects (core/policy) decide *real*
 // execution order here: every worker keeps a private task deque
@@ -24,6 +25,11 @@
 // reproduces the static PR-5 schedule exactly: each worker drains its
 // own LPT share largest-first, then takes upper fronts LIFO from a
 // shared pool, adopting the share of any worker that never spawned.
+//
+// Dependency direction: an upward run (the factorization, the forward
+// solve sweep) dispatches a node's task after its children's; a
+// downward run (the backward solve sweep) starts from every tree root
+// and readies a task's children when it completes, always stealing.
 //
 // Bitwise identity under any of this: a node is assembled and
 // eliminated by exactly one task, the extend-add order within a node is
@@ -103,6 +109,12 @@ void split_subtree_nodes(const Subtrees& subtrees,
                          std::vector<std::vector<index_t>>& subtree_nodes,
                          std::vector<index_t>& upper_nodes);
 
+/// Folds the LPT mapping onto `workers` workers: subtree s goes to worker
+/// proc[s] % workers, and each worker's share is ordered largest flops
+/// first (ties by index) — the LPT order the share dispatches in.
+std::vector<std::vector<index_t>> fold_subtrees(const Subtrees& subtrees,
+                                                unsigned workers);
+
 /// Exact arena + live-front peak of one whole-subtree task (doubles of
 /// full-square storage): the predict_arena_peak model over the
 /// subtree's postorder, except the root's CB — published to the heap
@@ -170,10 +182,11 @@ class RealPolicyHost final : public PolicyHost {
   std::vector<WorkerState> workers_;
 };
 
-/// The worker pool's task source. One instance per factorization; the
-/// workers call next_task()/complete() until the tree drains. All
-/// scheduling state lives under one mutex; policy consults are
-/// serialized under it. Also every worker's FrontTeam (for_each).
+/// The worker pool's task source. One instance per run over the tree
+/// (a factorization or one solve sweep); the workers call
+/// next_task()/complete() until the tree drains. All scheduling state
+/// lives under one mutex; policy consults are serialized under it. Also
+/// every worker's FrontTeam (for_each).
 class NumericScheduler final : public FrontTeam {
  public:
   struct Task {
@@ -182,15 +195,22 @@ class NumericScheduler final : public FrontTeam {
     index_t id = kNone;  ///< subtree index or upper node id
   };
 
+  /// kUpward: a task runs after its children's tasks. kDownward: after
+  /// its parent's task; every root starts ready.
+  enum class Direction : unsigned char { kUpward, kDownward };
+
   /// `worker_subtrees[w]` is worker w's LPT share, largest subtree
-  /// first. `ooc_budget_doubles` > 0 arms the spill-aware branch of the
-  /// memory-aware task selection.
+  /// first (seeds upward runs only: a downward run readies each subtree
+  /// when its parent completes). `ooc_budget_doubles` > 0 arms the
+  /// spill-aware branch of the memory-aware task selection. A downward
+  /// run requires options.steal.
   NumericScheduler(const AssemblyTree& tree, const Subtrees& subtrees,
                    const std::vector<std::vector<index_t>>& subtree_nodes,
                    std::span<const index_t> upper_nodes,
                    const std::vector<std::vector<index_t>>& worker_subtrees,
                    unsigned workers, const RealSchedOptions& options,
-                   count_t ooc_budget_doubles);
+                   count_t ooc_budget_doubles,
+                   Direction direction = Direction::kUpward);
   ~NumericScheduler();
 
   /// Blocks until a task is dispatched to worker w (the policy picks it
@@ -206,9 +226,10 @@ class NumericScheduler final : public FrontTeam {
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& body) override;
 
-  /// Reports the task done: releases its charges, resolves the parent
-  /// dependency (readying the parent wakes one sleeper), and, when the
-  /// last task finished, wakes everyone.
+  /// Reports the task done: releases its charges, readies the tasks it
+  /// unblocks (upward: the parent once its last child finished;
+  /// downward: every child) waking one sleeper per readied task, and,
+  /// when the last task finished, wakes everyone.
   void complete(unsigned w, const Task& task);
 
   /// Poisons the pool: every next_task returns false.
@@ -259,6 +280,7 @@ class NumericScheduler final : public FrontTeam {
 
   double now_locked() const;
   void refresh_announced_locked(double now);
+  Task task_of(index_t node) const;
   count_t task_window(const Task& t) const;
   count_t task_flops(const Task& t) const;
   void push_task_locked(unsigned w, const Task& t);
@@ -273,6 +295,7 @@ class NumericScheduler final : public FrontTeam {
   const AssemblyTree& tree_;
   const Subtrees& subtrees_;
   RealSchedOptions options_;
+  Direction direction_;
   /// subtree index -> predicted arena peak (doubles); upper windows are
   /// nfront^2. Declared before host_: its init feeds the host ctor.
   std::vector<count_t> subtree_peak_;
@@ -292,7 +315,7 @@ class NumericScheduler final : public FrontTeam {
   std::vector<std::vector<Task>> deques_;  ///< back = hottest
   std::vector<index_t> shared_ready_;      ///< static mode upper LIFO
   std::vector<char> started_;              ///< worker ever dispatched
-  std::vector<index_t> deps_;              ///< upper node -> open children
+  std::vector<index_t> deps_;  ///< upward: upper node -> open children
   std::size_t remaining_ = 0;
   std::size_t waiting_ = 0;
   std::size_t running_ = 0;  ///< workers holding a dispatched task

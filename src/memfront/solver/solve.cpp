@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <exception>
-#include <mutex>
+#include <stdexcept>
 #include <string>
 
 #include <cmath>
@@ -14,6 +13,7 @@
 #include "memfront/frontal/kernels.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
+#include "memfront/solver/scheduler.hpp"
 #include "memfront/support/error.hpp"
 #include "memfront/support/fault.hpp"
 #include "memfront/support/parallel_for.hpp"
@@ -234,214 +234,74 @@ void run_serial(const SolveContext& ctx, SolveWorkspace::Scratch& s) {
   }
 }
 
-/// Shared worker-pool state of the parallel sweeps (the
-/// parallel_numeric discipline: dependency decrements happen-before the
-/// dependent task's claim through the mutex).
-struct SweepState {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t remaining = 0;
-  bool failed = false;
-  std::exception_ptr error;
-
-  void fail(std::exception_ptr e) {
-    std::lock_guard<std::mutex> lock(mu);
-    if (!error) error = e;
-    failed = true;
-    cv.notify_all();
+/// One task of a parallel sweep, rooted at `root`: that upper node, or
+/// a whole subtree walked in postorder (forward) or reversed (backward).
+void run_sweep_task(const SolveContext& ctx, const NumericScheduler::Task& task,
+                    index_t root, bool forward, SolveWorkspace::Scratch& s) {
+  if (task.kind == NumericScheduler::Task::Kind::kUpper) {
+    MEMFRONT_SPAN(forward ? "solve_fwd_front" : "solve_bwd_front", root);
+    if (forward)
+      forward_node(ctx, root, s);
+    else
+      backward_node(ctx, root, s);
+    return;
   }
-};
-
-/// Forward sweep: the factorization's task graph verbatim — whole
-/// Geist-Ng subtrees claimed per worker (LPT share first, orphans
-/// adopted), dependency-counted upper-part node tasks above them.
-void run_forward_parallel(const SolveContext& ctx, SolveWorkspace& ws,
-                          unsigned workers) {
-  MEMFRONT_SPAN("solve_forward");
-  const AssemblyTree& tree = ctx.analysis->tree;
-  const SolveGraph& g = *ctx.graph;
-  const index_t nn = tree.num_nodes();
-  const index_t num_subtrees = static_cast<index_t>(g.subtrees.roots.size());
-
-  ws.deps.assign(sz(nn), 0);
-  ws.ready.clear();
-  for (index_t i : g.upper_nodes)
-    ws.deps[sz(i)] = static_cast<index_t>(tree.children(i).size());
-  for (index_t i : g.upper_nodes)
-    if (ws.deps[sz(i)] == 0) ws.ready.push_back(i);
-
-  ws.worker_lists.resize(workers);
-  for (auto& list : ws.worker_lists) list.clear();
-  ws.claimed.assign(workers, 0);
-  for (index_t s = 0; s < num_subtrees; ++s)
-    ws.worker_lists[static_cast<std::size_t>(g.subtrees.proc[sz(s)]) %
-                    workers]
-        .push_back(s);
-  for (auto& list : ws.worker_lists)
-    std::sort(list.begin(), list.end(), [&](index_t a, index_t b) {
-      const count_t fa = g.subtrees.flops[sz(a)];
-      const count_t fb = g.subtrees.flops[sz(b)];
-      return fa != fb ? fa > fb : a < b;
-    });
-
-  SweepState st;
-  st.remaining = sz(num_subtrees) + g.upper_nodes.size();
-  if (st.remaining == 0) return;
-
-  // Caller holds st.mu.
-  const auto complete_locked = [&](index_t node) {
-    const index_t parent = tree.parent(node);
-    if (parent != kNone && --ws.deps[sz(parent)] == 0)
-      ws.ready.push_back(parent);
-    --st.remaining;
-    st.cv.notify_all();
-  };
-
-  const auto worker = [&](std::size_t w) {
-    try {
-      MEMFRONT_THREAD_NAME("solve-" + std::to_string(w));
-      SolveWorkspace::Scratch& scratch = ws.scratch[w];
-      const auto run_subtree = [&](index_t s) {
-        const index_t root = g.subtrees.roots[sz(s)];
-        MEMFRONT_SPAN("solve_fwd_subtree", root);
-        // Fault site: a solve worker dying mid-subtree must drain the
-        // sweep and surface one structured kWorkerFailure (id = root, so
-        // the schedule is interleaving-independent).
-        if (MEMFRONT_FAULT("worker.solve_exception", root))
-          throw std::runtime_error("injected worker failure in solve subtree");
-        for (index_t i : g.subtree_nodes[sz(s)])
-          forward_node(ctx, i, scratch);
-        std::lock_guard<std::mutex> lock(st.mu);
-        complete_locked(root);
-      };
-      const auto run_list = [&](const std::vector<index_t>& list) {
-        for (index_t s : list) {
-          {
-            std::lock_guard<std::mutex> lock(st.mu);
-            if (st.failed) return;
-          }
-          run_subtree(s);
-        }
-      };
-      const auto claim = [&](std::size_t u) {
-        // Caller holds st.mu.
-        ws.claimed[u] = 1;
-        return std::move(ws.worker_lists[u]);
-      };
-
-      std::vector<index_t> mine;
-      {
-        std::lock_guard<std::mutex> lock(st.mu);
-        if (!ws.claimed[w]) mine = claim(w);
-      }
-      run_list(mine);
-
-      std::unique_lock<std::mutex> lock(st.mu);
-      while (!st.failed && st.remaining > 0) {
-        if (!ws.ready.empty()) {
-          const index_t i = ws.ready.back();
-          ws.ready.pop_back();
-          lock.unlock();
-          {
-            MEMFRONT_SPAN("solve_fwd_front", i);
-            forward_node(ctx, i, scratch);
-          }
-          lock.lock();
-          complete_locked(i);
-          continue;
-        }
-        std::size_t orphan = ws.claimed.size();
-        for (std::size_t u = 0; u < ws.claimed.size(); ++u)
-          if (!ws.claimed[u] && !ws.worker_lists[u].empty()) {
-            orphan = u;
-            break;
-          }
-        if (orphan < ws.claimed.size()) {
-          mine = claim(orphan);
-          lock.unlock();
-          run_list(mine);
-          lock.lock();
-          continue;
-        }
-        st.cv.wait(lock);
-      }
-    } catch (...) {
-      st.fail(std::current_exception());
-    }
-  };
-  parallel_for(workers, worker, workers);
-  if (st.error) rethrow_structured(st.error, "solve forward sweep");
-  check(st.remaining == 0, "solve: forward sweep left tasks behind");
+  MEMFRONT_SPAN(forward ? "solve_fwd_subtree" : "solve_bwd_subtree", root);
+  const std::vector<index_t>& nodes = ctx.graph->subtree_nodes[sz(task.id)];
+  if (forward) {
+    for (index_t i : nodes) forward_node(ctx, i, s);
+  } else {
+    for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
+      backward_node(ctx, *it, s);
+  }
 }
 
-/// Backward sweep: the same tasks with the dependency edges inverted —
-/// a task becomes ready when its parent's task finished, subtree tasks
-/// walk their nodes in reverse postorder. Tasks are encoded in the
-/// ready queue as the upper node id (>= 0) or ~subtree_id (< 0).
-void run_backward_parallel(const SolveContext& ctx, SolveWorkspace& ws,
-                           unsigned workers) {
-  MEMFRONT_SPAN("solve_backward");
+/// One parallel sweep on the factorization's scheduler and task graph:
+/// an upward run for the forward sweep (a node after its children), a
+/// downward run for the backward sweep (a node after its parent).
+void run_parallel_sweep(const SolveContext& ctx, SolveWorkspace& ws,
+                        unsigned workers, bool forward) {
+  MEMFRONT_SPAN(forward ? "solve_forward" : "solve_backward");
   const AssemblyTree& tree = ctx.analysis->tree;
   const SolveGraph& g = *ctx.graph;
-  const index_t num_subtrees = static_cast<index_t>(g.subtrees.roots.size());
-
-  const auto encode = [&](index_t node) {
-    const index_t s = g.subtrees.node_subtree[sz(node)];
-    return s == kNone ? node : ~s;
-  };
-
-  ws.ready.clear();
-  for (index_t r : tree.roots()) ws.ready.push_back(encode(r));
-
-  SweepState st;
-  st.remaining = sz(num_subtrees) + g.upper_nodes.size();
-  if (st.remaining == 0) return;
-
+  NumericScheduler sched(tree, g.subtrees, g.subtree_nodes, g.upper_nodes,
+                         fold_subtrees(g.subtrees, workers), workers,
+                         RealSchedOptions{}, /*ooc_budget_doubles=*/0,
+                         forward ? NumericScheduler::Direction::kUpward
+                                 : NumericScheduler::Direction::kDownward);
   const auto worker = [&](std::size_t w) {
     try {
       MEMFRONT_THREAD_NAME("solve-" + std::to_string(w));
-      SolveWorkspace::Scratch& scratch = ws.scratch[w];
-      std::unique_lock<std::mutex> lock(st.mu);
-      while (!st.failed && st.remaining > 0) {
-        if (ws.ready.empty()) {
-          st.cv.wait(lock);
-          continue;
-        }
-        const index_t task = ws.ready.back();
-        ws.ready.pop_back();
-        lock.unlock();
-        if (task >= 0) {
-          // Upper-part node: solve it, then release its children (each
-          // is an upper node or a whole-subtree task).
-          {
-            MEMFRONT_SPAN("solve_bwd_front", task);
-            backward_node(ctx, task, scratch);
-          }
-          lock.lock();
-          for (index_t child : tree.children(task))
-            ws.ready.push_back(encode(child));
-          --st.remaining;
-          st.cv.notify_all();
-        } else {
-          const index_t s = ~task;
-          {
-            MEMFRONT_SPAN("solve_bwd_subtree", g.subtrees.roots[sz(s)]);
-            const std::vector<index_t>& nodes = g.subtree_nodes[sz(s)];
-            for (auto it = nodes.rbegin(); it != nodes.rend(); ++it)
-              backward_node(ctx, *it, scratch);
-          }
-          lock.lock();
-          --st.remaining;
-          st.cv.notify_all();
-        }
+      NumericScheduler::Task task;
+      while (sched.next_task(static_cast<unsigned>(w), task)) {
+        const index_t root =
+            task.kind == NumericScheduler::Task::Kind::kSubtree
+                ? g.subtrees.roots[sz(task.id)]
+                : task.id;
+        // Fault site: a solve worker dying in either sweep must drain it
+        // and surface one structured kWorkerFailure. Keyed on the root
+        // (shifted past every node id in the backward sweep), so the
+        // schedule is interleaving-independent and per sweep.
+        if (MEMFRONT_FAULT("worker.solve_exception",
+                           forward ? root : tree.num_nodes() + root))
+          throw std::runtime_error("injected worker failure in solve task");
+        run_sweep_task(ctx, task, root, forward, ws.scratch[w]);
+        sched.complete(static_cast<unsigned>(w), task);
       }
     } catch (...) {
-      st.fail(std::current_exception());
+      sched.fail();  // every other worker's next_task returns false
+      throw;         // parallel_for keeps the first exception
     }
   };
-  parallel_for(workers, worker, workers);
-  if (st.error) rethrow_structured(st.error, "solve backward sweep");
-  check(st.remaining == 0, "solve: backward sweep left tasks behind");
+  const char* where = forward ? "solve forward sweep" : "solve backward sweep";
+  try {
+    parallel_for(workers, worker, workers);
+  } catch (...) {
+    rethrow_structured(std::current_exception(), where);
+  }
+  check(sched.stats().completions ==
+            g.subtrees.roots.size() + g.upper_nodes.size(),
+        "solve: sweep left tasks behind");
 }
 
 void fill_cb_offsets(const AssemblyTree& tree, SolveGraph& g) {
@@ -499,8 +359,8 @@ void run_solve(const Analysis& analysis, const Factorization& fact,
   if (workers <= 1) {
     run_serial(ctx, ws.scratch[0]);
   } else {
-    run_forward_parallel(ctx, ws, workers);
-    run_backward_parallel(ctx, ws, workers);
+    run_parallel_sweep(ctx, ws, workers, /*forward=*/true);
+    run_parallel_sweep(ctx, ws, workers, /*forward=*/false);
   }
 
   // Back to the original ordering.
@@ -633,14 +493,8 @@ SolveGraph build_solve_graph(const Analysis& analysis,
   g.subtree_options = options.subtree_options;
   g.subtrees =
       find_subtrees(tree, analysis.memory, g.nprocs, options.subtree_options);
-  g.subtree_nodes.resize(g.subtrees.roots.size());
-  for (index_t i : analysis.traversal) {
-    const index_t s = g.subtrees.node_subtree[sz(i)];
-    if (s != kNone)
-      g.subtree_nodes[sz(s)].push_back(i);
-    else
-      g.upper_nodes.push_back(i);
-  }
+  split_subtree_nodes(g.subtrees, analysis.traversal, g.subtree_nodes,
+                      g.upper_nodes);
   fill_cb_offsets(tree, g);
   return g;
 }

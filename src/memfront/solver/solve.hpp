@@ -92,8 +92,9 @@ SolveGraph build_solve_graph(const Analysis& analysis,
 /// Reusable solve buffers: the n x k panel in elimination order, the
 /// CB-RHS slab, and per-worker gather/scatter scratch. bind() resizes
 /// for a (graph, n, nrhs, workers) shape; repeated solves of the same
-/// shape perform no allocations. One workspace serves one solve at a
-/// time (the parallel sweep's workers share it by index).
+/// shape reuse them all (a parallel sweep still builds its scheduler
+/// state per call). One workspace serves one solve at a time (the
+/// parallel sweeps' workers share it by index).
 struct SolveWorkspace {
   struct Scratch {
     std::vector<double> front;   // max_nfront x nrhs front RHS panel
@@ -104,13 +105,6 @@ struct SolveWorkspace {
   std::vector<double> y;   // n x nrhs, elimination order
   std::vector<double> cb;  // cb_rows x nrhs slab
   std::vector<Scratch> scratch;
-
-  // Parallel-runtime state, rebound per solve (kept here so the hot
-  // path allocates nothing once warm).
-  std::vector<index_t> deps;
-  std::vector<index_t> ready;
-  std::vector<std::vector<index_t>> worker_lists;
-  std::vector<char> claimed;
 
   void bind(const SolveGraph& graph, index_t n, index_t nrhs,
             unsigned workers);

@@ -272,8 +272,6 @@ TEST(ChaosHarness, OocDiskFaultSweep) {
   EXPECT_GT(io_failed, 0) << "no disk schedule ever exhausted its retries";
 }
 
-#if MEMFRONT_OOC_REAL
-
 constexpr std::uint64_t kRealOocSeedsPerCase = 24;
 
 /// The *real* spill path under disk chaos: factorize + solve with a
@@ -372,8 +370,6 @@ INSTANTIATE_TEST_SUITE_P(RealSpillPath, RealOocDiskChaos,
                            return std::string("w") +
                                   std::to_string(info.param);
                          });
-
-#endif  // MEMFRONT_OOC_REAL
 
 // ctest runs every gtest case in its own process, so the acceptance
 // floor (>= 200 seeded schedules across the binary) is checked

@@ -18,8 +18,6 @@
 #include "memfront/sparse/problems.hpp"
 #include "memfront/support/status.hpp"
 
-#if MEMFRONT_OOC_REAL
-
 namespace memfront {
 namespace {
 
@@ -264,5 +262,3 @@ TEST(OocExec, RepeatedSolvesAfterReloadStayIdentical) {
 
 }  // namespace
 }  // namespace memfront
-
-#endif  // MEMFRONT_OOC_REAL

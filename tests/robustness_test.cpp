@@ -373,10 +373,6 @@ TEST(FaultSites, SolveWorkerFailureIsStructuredToo) {
   std::vector<double> b(static_cast<std::size_t>(p.matrix.nrows()), 1.0);
   SolveOptions sopt;
   sopt.nthreads = 4;
-  const SolveGraph graph = build_solve_graph(analysis, sopt);
-  std::size_t subtree_nodes = 0;
-  for (const auto& nodes : graph.subtree_nodes) subtree_nodes += nodes.size();
-  ASSERT_GT(subtree_nodes, 0u) << "no solve subtree tasks to inject into";
 
   const std::vector<double> baseline =
       solve_factorized_multi(analysis, fact, b, 1, sopt);
@@ -388,6 +384,28 @@ TEST(FaultSites, SolveWorkerFailureIsStructuredToo) {
   } catch (const SolverError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kWorkerFailure);
   }
+  EXPECT_TRUE(bitwise_equal(
+      solve_factorized_multi(analysis, fact, b, 1, sopt), baseline));
+
+  // The site fires per task in both sweeps: walk seeds until a schedule
+  // spares the forward sweep and fails the backward one, which must
+  // drain the same way.
+  bool backward_failed = false;
+  for (std::uint64_t seed = 0; seed < 64 && !backward_failed; ++seed) {
+    try {
+      fault::ScopedPlan scoped({.seed = seed,
+                                .period = 0,
+                                .overrides = {{"worker.solve_exception", 8}}});
+      (void)solve_factorized_multi(analysis, fact, b, 1, sopt);
+    } catch (const SolverError& e) {
+      if (std::string(e.what()).find("solve backward sweep") ==
+          std::string::npos)
+        continue;
+      backward_failed = true;
+      EXPECT_EQ(e.code(), ErrorCode::kWorkerFailure);
+    }
+  }
+  ASSERT_TRUE(backward_failed) << "no seed failed the backward sweep";
   EXPECT_TRUE(bitwise_equal(
       solve_factorized_multi(analysis, fact, b, 1, sopt), baseline));
 }

@@ -14,10 +14,15 @@
 //     readied tasks instead of completions x workers,
 //   - intra-front sharing: idle workers join the top fronts' trailing
 //     updates, and the factors stay bit-identical in core and at the
-//     minimum out-of-core budget.
+//     minimum out-of-core budget,
+//   - the downward direction (the backward solve sweep's), driven bare
+//     from threads: each task once, after its parent, one wakeup per
+//     readied task, on a chain, an arrowhead and a forest.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include "memfront/frontal/arena.hpp"
@@ -25,6 +30,7 @@
 #include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/scheduler.hpp"
 #include "memfront/sparse/problems.hpp"
+#include "tree_shapes.hpp"
 
 namespace memfront {
 namespace {
@@ -58,6 +64,14 @@ Analysis analyzed_problem(ProblemId id, double scale, OrderingKind ord,
   return analyze(p.matrix, opt);
 }
 
+/// The shape-pinned matrices of tree_shapes.hpp keep their shape under
+/// the natural ordering.
+Analysis natural_analysis(const CscMatrix& a) {
+  AnalysisOptions opt;
+  opt.ordering = OrderingKind::kNatural;
+  return analyze(a, opt);
+}
+
 /// Problems whose top fronts have trailing updates above kShareMinFlops:
 /// an LU (TWOTONE, root front 482) and an LDLt (GUPTA3, root front 502).
 struct SharingCase {
@@ -71,31 +85,6 @@ constexpr SharingCase kSharingCases[] = {{ProblemId::kTwotone, false, 0.2},
 Analysis sharing_analysis(const SharingCase& c) {
   return analyzed_problem(c.id, c.scale, OrderingKind::kNestedDissection,
                           c.ldlt);
-}
-
-/// A 1-wide (chain) assembly tree: tridiagonal matrix under the natural
-/// ordering — every node has exactly one child, so at most one task is
-/// ever ready and 8 workers stampede over it.
-CscMatrix chain_matrix(index_t n) {
-  std::vector<count_t> colptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> rowind;
-  std::vector<double> values;
-  for (index_t j = 0; j < n; ++j) {
-    if (j > 0) {
-      rowind.push_back(j - 1);
-      values.push_back(-1.0);
-    }
-    rowind.push_back(j);
-    values.push_back(4.0 + 0.01 * static_cast<double>(j % 7));
-    if (j + 1 < n) {
-      rowind.push_back(j + 1);
-      values.push_back(-1.0);
-    }
-    colptr[static_cast<std::size_t>(j) + 1] =
-        static_cast<count_t>(rowind.size());
-  }
-  return CscMatrix(n, n, std::move(colptr), std::move(rowind),
-                   std::move(values));
 }
 
 TEST(Scheduler, BitIdenticalAcrossPoliciesWorkersAndStealing) {
@@ -150,10 +139,7 @@ TEST(Scheduler, StealStormOnChainTree) {
   // so seven workers continuously try to steal it. The result must
   // still match the serial driver bit for bit and every task must run
   // exactly once.
-  const CscMatrix a = chain_matrix(600);
-  AnalysisOptions opt;
-  opt.ordering = OrderingKind::kNatural;
-  const Analysis analysis = analyze(a, opt);
+  const Analysis analysis = natural_analysis(chain_matrix(600));
   const Factorization serial = numeric_factorize(analysis);
   for (RealPolicy policy : {RealPolicy::kWorkload, RealPolicy::kMemory}) {
     ParallelNumericOptions popt;
@@ -226,7 +212,6 @@ TEST(Scheduler, EveryDispatchAndAdmissionConsultsThePolicy) {
 }
 
 TEST(Scheduler, OocAdmissionsConsultThePolicyPerReservation) {
-#if MEMFRONT_OOC_REAL
   const Analysis analysis =
       analyzed_problem(ProblemId::kTwotone, 0.14, OrderingKind::kAmd);
   CountingPolicy counting;
@@ -248,9 +233,6 @@ TEST(Scheduler, OocAdmissionsConsultThePolicyPerReservation) {
   EXPECT_EQ(counting.admit_calls,
             tasks + static_cast<std::size_t>(analysis.tree.num_nodes()));
   expect_bitwise_equal(numeric_factorize(analysis), fact, "ooc counting");
-#else
-  GTEST_SKIP() << "MEMFRONT_OOC_REAL=OFF";
-#endif
 }
 
 TEST(Scheduler, TargetedWakeupsStayFarBelowBroadcast) {
@@ -323,7 +305,6 @@ TEST(Scheduler, SharedFrontUpdatesAreBitIdentical) {
 }
 
 TEST(Scheduler, SharedFrontUpdatesAtTheMinimumOocBudget) {
-#if MEMFRONT_OOC_REAL
   // Helpers write into the owner's front and charge nothing, so the
   // budget holds exactly as without sharing.
   const Analysis analysis = sharing_analysis(kSharingCases[0]);
@@ -343,9 +324,88 @@ TEST(Scheduler, SharedFrontUpdatesAtTheMinimumOocBudget) {
   expect_bitwise_equal(serial, fact, "budgeted");
   EXPECT_LE(fact.stats.ooc.charged_peak_doubles, budget);
   EXPECT_EQ(fact.stats.ooc.overrun_peak_doubles, 0);
-#else
-  GTEST_SKIP() << "MEMFRONT_OOC_REAL=OFF";
-#endif
+}
+
+/// Drives a downward run from `kWorkers` threads with no numeric work
+/// and checks the runtime's contract: every task dispatched exactly once
+/// and never before its parent's task completed, one completion per
+/// task, wakeups within the targeted bound, and no run without stealing.
+void expect_downward_contract(const Analysis& analysis,
+                              const std::string& label) {
+  constexpr unsigned kWorkers = 4;
+  const AssemblyTree& tree = analysis.tree;
+  const Subtrees subtrees = find_subtrees(tree, analysis.memory, kWorkers);
+  std::vector<std::vector<index_t>> subtree_nodes;
+  std::vector<index_t> upper_nodes;
+  split_subtree_nodes(subtrees, analysis.traversal, subtree_nodes,
+                      upper_nodes);
+  NumericScheduler sched(tree, subtrees, subtree_nodes, upper_nodes,
+                         fold_subtrees(subtrees, kWorkers), kWorkers,
+                         RealSchedOptions{}, 0,
+                         NumericScheduler::Direction::kDownward);
+
+  // Indexed by the task's root node.
+  const std::size_t nn = static_cast<std::size_t>(tree.num_nodes());
+  std::vector<std::atomic<int>> dispatched(nn);
+  std::vector<std::atomic<bool>> done(nn);
+  std::atomic<int> early{0};
+  std::vector<std::thread> threads;
+  for (unsigned w = 0; w < kWorkers; ++w)
+    threads.emplace_back([&, w] {
+      NumericScheduler::Task task;
+      while (sched.next_task(w, task)) {
+        const index_t root =
+            task.kind == NumericScheduler::Task::Kind::kSubtree
+                ? subtrees.roots[static_cast<std::size_t>(task.id)]
+                : task.id;
+        dispatched[static_cast<std::size_t>(root)].fetch_add(1);
+        const index_t parent = tree.parent(root);
+        if (parent != kNone && !done[static_cast<std::size_t>(parent)].load())
+          early.fetch_add(1);
+        std::this_thread::yield();
+        done[static_cast<std::size_t>(root)].store(true);
+        sched.complete(w, task);
+      }
+    });
+  for (std::thread& t : threads) t.join();
+
+  std::vector<index_t> task_roots = upper_nodes;
+  task_roots.insert(task_roots.end(), subtrees.roots.begin(),
+                    subtrees.roots.end());
+  for (index_t r : task_roots)
+    EXPECT_EQ(dispatched[static_cast<std::size_t>(r)].load(), 1)
+        << label << ": task of node " << r;
+  EXPECT_EQ(early.load(), 0) << label << ": dispatched before the parent";
+  const SchedStats& stats = sched.stats();
+  EXPECT_EQ(stats.completions, task_roots.size()) << label;
+  EXPECT_LE(stats.wakeups, stats.completions + stats.steal_chunks + kWorkers)
+      << label;
+
+  // No static top-down mode: a downward run steals.
+  RealSchedOptions no_steal;
+  no_steal.steal = false;
+  EXPECT_THROW(NumericScheduler(tree, subtrees, subtree_nodes, upper_nodes,
+                                {}, kWorkers, no_steal, 0,
+                                NumericScheduler::Direction::kDownward),
+               InternalError)
+      << label;
+}
+
+TEST(Scheduler, DownwardRunsDispatchEachTaskOnceAfterItsParent) {
+  // The chain readies one task at a time.
+  expect_downward_contract(natural_analysis(chain_matrix(600)), "chain");
+
+  // The arrowhead: the border's front completes and readies a task per
+  // block at once.
+  const Analysis arrowhead = natural_analysis(block_matrix(4, 150, 20));
+  ASSERT_EQ(arrowhead.tree.roots().size(), 1u);
+  ASSERT_EQ(arrowhead.tree.children(arrowhead.tree.roots()[0]).size(), 4u);
+  expect_downward_contract(arrowhead, "arrowhead");
+
+  // The forest: several roots seed the run.
+  const Analysis forest = natural_analysis(block_matrix(4, 150, 0));
+  ASSERT_EQ(forest.tree.roots().size(), 4u);
+  expect_downward_contract(forest, "forest");
 }
 
 TEST(Scheduler, StealBoundHelpersAreConsistent) {

@@ -7,8 +7,8 @@
 //   (b) backward error ||Ax-b|| / (||A|| ||x||) below 1e-10 across all
 //       Table-1 problems x LU/LDLT,
 //   (c) permutation round-trips survive the panel edge cases (k = 1 and
-//       a k = 33 tile-boundary panel), and chain-split trees flow
-//       through the sweep.
+//       a k = 33 tile-boundary panel), and chain-split trees, an
+//       arrowhead and a forest flow through the sweeps.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -21,6 +21,7 @@
 #include "memfront/solver/solve.hpp"
 #include "memfront/sparse/problems.hpp"
 #include "memfront/support/rng.hpp"
+#include "tree_shapes.hpp"
 
 namespace memfront {
 namespace {
@@ -190,6 +191,29 @@ TEST(Solve, SplitTreeSweepMatchesReference) {
   popt.nthreads = 4;
   EXPECT_TRUE(bitwise_equal(
       solve_factorized_multi(analysis, fact, b, 1, popt), reference));
+}
+
+TEST(Solve, ArrowheadAndForestSweepsMatchReference) {
+  // The arrowhead's root completion readies a backward task per block at
+  // once; the forest seeds the backward sweep with one root per block.
+  for (index_t border : {index_t{20}, index_t{0}}) {
+    const CscMatrix a = block_matrix(4, 150, border);
+    AnalysisOptions opt;
+    opt.ordering = OrderingKind::kNatural;
+    const Analysis analysis = analyze(a, opt);
+    const Factorization fact = numeric_factorize(analysis);
+    const std::vector<double> b = random_panel(a.nrows(), 1, 51);
+    const std::vector<double> reference = solve_reference(analysis, fact, b);
+    const std::string shape = border > 0 ? "arrowhead" : "forest";
+    for (unsigned nthreads : {2u, 4u, 8u}) {
+      SolveOptions popt;
+      popt.nthreads = nthreads;
+      popt.nprocs = 8;
+      EXPECT_TRUE(bitwise_equal(
+          solve_factorized_multi(analysis, fact, b, 1, popt), reference))
+          << shape << ": workers=" << nthreads;
+    }
+  }
 }
 
 TEST(Solve, WorkspaceEntryPointAllocatesNothingPerCall) {
