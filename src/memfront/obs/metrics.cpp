@@ -270,6 +270,12 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
       .add(static_cast<std::int64_t>(stats.sched.helper_blocks));
   m.counter("solver.sched.helper_wakeups")
       .add(static_cast<std::int64_t>(stats.sched.helper_wakeups));
+  // Of the helper blocks, those run by workers waiting for OOC memory;
+  // and the waits only the safety-net tick ended (lost wakeups).
+  m.counter("solver.sched.memory_wait_blocks")
+      .add(static_cast<std::int64_t>(stats.sched.memory_wait_blocks));
+  m.counter("solver.sched.tick_rescues")
+      .add(static_cast<std::int64_t>(stats.sched.tick_rescues));
   m.gauge("solver.sched.max_queue_depth")
       .max_of(static_cast<std::int64_t>(stats.sched.max_queue_depth));
   m.gauge("solver.sched.steal_arena_bound_doubles")

@@ -128,11 +128,14 @@ struct OocExecStats {
   index_t reload_events = 0;
   index_t io_retries = 0;
   count_t buffer_high_water_doubles = 0;
-  /// Compute-thread seconds lost to the budget: admission waits, demand
-  /// reloads, full-buffer appends and the final drain.
+  /// Compute-thread seconds lost to the budget: admission waits (less
+  /// the helper blocks a waiter ran meanwhile), demand reloads,
+  /// full-buffer appends and the final drain.
   double stall_seconds = 0;
   /// Disk-write seconds that proceeded while compute kept running (the
-  /// I/O the write-behind buffer hid). 0 in synchronous mode.
+  /// I/O the write-behind buffer hid): the I/O thread's busy time less
+  /// the part of it during which at least one compute thread was
+  /// blocked on it. 0 in synchronous mode.
   double overlap_seconds = 0;
   /// Scheduler-policy consultations ahead of reservation admissions
   /// (OocSchedHooks::admit) and the model stall they returned. Zero

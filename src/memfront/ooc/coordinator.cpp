@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -24,19 +25,23 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Safety-net wait quantum: every sleeper re-examines the world at
-/// least this often, so a missed notify can delay but never wedge.
+/// Safety-net wait quantum of the coordinator's own sleepers (the serial
+/// driver): every sleeper re-examines the world at least this often, so
+/// a missed notify can delay but never wedge.
 constexpr auto kAdmissionTick = std::chrono::milliseconds(100);
 
 }  // namespace
 
 OocCoordinator::OocCoordinator(const OocExecConfig& config,
                                const AssemblyTree& tree, index_t workers)
-    : tree_(tree), config_(config), budget_(config.budget_doubles) {
+    : tree_(tree),
+      config_(config),
+      workers_(std::max<index_t>(1, workers)),
+      budget_(config.budget_doubles) {
   write_behind_ = config.io_mode != OocIoMode::kSynchronous;
   SpillStoreOptions sopts;
   sopts.dir = config.spill_dir;
-  sopts.files = std::max<index_t>(1, workers);
+  sopts.files = 2 * workers_;  // cb_file(w) and factor_file(w)
   sopts.write_behind = write_behind_;
   count_t buffer_doubles = config.write_buffer_doubles;
   if (buffer_doubles == 0 && budget_ > 0) buffer_doubles = budget_ / 4;
@@ -62,7 +67,15 @@ void OocCoordinator::charge_locked(count_t doubles) {
   charged_ += doubles;
   stats_.charged_peak_doubles =
       std::max(stats_.charged_peak_doubles, charged_);
-  if (doubles < 0) cv_.notify_all();
+}
+
+std::uint64_t OocCoordinator::note_release_locked() {
+  cv_.notify_all();
+  return ++release_epoch_;
+}
+
+void OocCoordinator::released(std::uint64_t epoch) {
+  if (sched_hooks_.released) sched_hooks_.released(epoch);
 }
 
 void OocCoordinator::on_landing(SpillStore::BlockId, index_t,
@@ -71,11 +84,15 @@ void OocCoordinator::on_landing(SpillStore::BlockId, index_t,
   // in-flight copy left RAM. A failed write also releases — the store
   // holds the failure and the next admission step or store call
   // rethrows it (waiters must unwind, not wait on a dead writer).
-  std::lock_guard<std::mutex> lock(mu_);
-  const count_t d = static_cast<count_t>(bytes / sizeof(double));
-  charged_ -= d;
-  inflight_ -= d;
-  cv_.notify_all();
+  std::uint64_t epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    const count_t d = static_cast<count_t>(bytes / sizeof(double));
+    charged_ -= d;
+    inflight_ -= d;
+    epoch = note_release_locked();
+  }
+  released(epoch);
 }
 
 std::vector<SpillStore::BlockId> OocCoordinator::append_cb_blocks(
@@ -85,7 +102,7 @@ std::vector<SpillStore::BlockId> OocCoordinator::append_cb_blocks(
   std::vector<SpillStore::BlockId> ids;
   const index_t panel_cols = ooc_cb_panel_cols(n);
   if (panel_cols >= n) {
-    ids.push_back(store_->append(worker, node, std::move(data)));
+    ids.push_back(store_->append(cb_file(worker), node, std::move(data)));
     return ids;
   }
   // Large CB: one spill block per column panel, so the parent's
@@ -95,7 +112,7 @@ std::vector<SpillStore::BlockId> OocCoordinator::append_cb_blocks(
     std::vector<double> panel(
         data.begin() + static_cast<std::ptrdiff_t>(c0) * n,
         data.begin() + static_cast<std::ptrdiff_t>(c1) * n);
-    ids.push_back(store_->append(worker, node, std::move(panel)));
+    ids.push_back(store_->append(cb_file(worker), node, std::move(panel)));
   }
   return ids;
 }
@@ -172,11 +189,15 @@ bool OocCoordinator::try_admit_locked(std::unique_lock<std::mutex>& lock,
         MEMFRONT_SPAN("ooc.spill", e.node);
         std::vector<SpillStore::BlockId> ids = append_cb_blocks(
             worker, e.node, tree_.ncb(e.node), std::move(e.data));
-        std::lock_guard<std::mutex> relock(mu_);
-        Cb& cb = cbs_[sz(e.node)];
-        cb.blocks = std::move(ids);
-        cb.state = CbState::kOnDisk;
-        cv_.notify_all();
+        std::uint64_t epoch = 0;
+        {
+          std::lock_guard<std::mutex> relock(mu_);
+          Cb& cb = cbs_[sz(e.node)];
+          cb.blocks = std::move(ids);
+          cb.state = CbState::kOnDisk;
+          epoch = note_release_locked();
+        }
+        released(epoch);
       }
       lock.lock();
       continue;  // the caller's need may have changed: recompute
@@ -190,10 +211,26 @@ bool OocCoordinator::try_admit_locked(std::unique_lock<std::mutex>& lock,
     const bool io_pending = inflight_ > 0;
     if (may_wait && (io_pending || mid_node_ > 0)) {
       const auto t0 = std::chrono::steady_clock::now();
-      cv_.wait_for(lock, kAdmissionTick);
-      const double waited = seconds_since(t0);
-      stats_.stall_seconds += waited;
-      if (io_pending) wait_while_inflight_seconds_ += waited;
+      // Blocked on the I/O thread when the landings alone would admit
+      // the need (otherwise it waits for other workers' releases).
+      // Non-blocking store call under mu_ (the prefetch lock order).
+      const bool io_bound =
+          io_pending && charged_ - inflight_ + need <= budget_;
+      if (io_bound) store_->io_wait_begin();
+      double helped = 0;
+      if (sched_hooks_.wait) {
+        // The scheduler's memory wait, where the worker helps running
+        // fronts. `seen` is read under mu_, and every later release
+        // is numbered past it: none can be missed.
+        const std::uint64_t seen = release_epoch_;
+        lock.unlock();
+        helped = sched_hooks_.wait(worker, seen);
+        lock.lock();
+      } else {
+        cv_.wait_for(lock, kAdmissionTick);
+      }
+      if (io_bound) store_->io_wait_end();
+      stats_.stall_seconds += seconds_since(t0) - helped;
       continue;
     }
     if (!may_wait) return false;  // caller degrades to an uncharged path
@@ -313,6 +350,9 @@ void OocCoordinator::assemble_child(index_t child, index_t /*worker*/,
     rcb.pins = 0;
     rcb.doubles = 0;
     std::erase(residency_, child);
+    const std::uint64_t epoch = note_release_locked();
+    lock.unlock();
+    released(epoch);
     return;
   }
 
@@ -336,17 +376,22 @@ void OocCoordinator::assemble_child(index_t child, index_t /*worker*/,
   prefetch_locked(next);
   MEMFRONT_SPAN("ooc.reload", child);
   lock.unlock();
+  // One reload buffer, as wide as the widest panel, serves every block.
+  const std::size_t panel_doubles =
+      static_cast<std::size_t>(ooc_cb_panel_cols(n)) *
+      static_cast<std::size_t>(n);
+  const std::unique_ptr<double[]> panel =
+      std::make_unique_for_overwrite<double[]>(panel_doubles);
   index_t c0 = 0;
   for (std::size_t b = 0; b < ids.size(); ++b) {
-    const count_t pd = static_cast<count_t>(store_->block_doubles(ids[b]));
-    const index_t cols = static_cast<index_t>(pd / n);
+    const std::size_t pd = store_->block_doubles(ids[b]);
+    check(pd <= panel_doubles, "ooc: spilled CB block wider than a panel");
+    const index_t cols = static_cast<index_t>(pd / static_cast<std::size_t>(n));
     // Chain the read-ahead: block b+1 streams in behind this scatter.
     if (b + 1 < ids.size()) store_->prefetch(ids[b + 1]);
-    {
-      const std::vector<double> panel = store_->read(ids[b]);
-      extend_add_mapped_cols(front, panel.data(), n, n, c0, c0 + cols,
-                             positions);
-    }
+    store_->read(ids[b], panel.get(), pd);
+    extend_add_mapped_cols(front, panel.get(), n, n, c0, c0 + cols,
+                           positions);
     c0 += cols;
   }
   lock.lock();
@@ -389,8 +434,10 @@ void OocCoordinator::store_cb(index_t node, index_t worker, FrontView front,
       lock.unlock();
       numeric_detail::extract_cb(front, npiv, out);
       lock.lock();
-      cbs_[sz(node)].pins = 0;
-      cv_.notify_all();
+      cbs_[sz(node)].pins = 0;  // now a spill candidate
+      const std::uint64_t epoch = note_release_locked();
+      lock.unlock();
+      released(epoch);
       return;
     }
   }
@@ -421,23 +468,29 @@ void OocCoordinator::store_cb(index_t node, index_t worker, FrontView front,
       std::copy(col, col + n,
                 panel.data() + static_cast<std::size_t>(c - c0) * n);
     }
-    ids.push_back(store_->write_now(worker, node, panel.data(), panel.size()));
+    ids.push_back(
+        store_->write_now(cb_file(worker), node, panel.data(), panel.size()));
   }
   lock.lock();
   Cb& dcb = cbs_[sz(node)];
   dcb.blocks = std::move(ids);
   dcb.state = CbState::kOnDisk;
-  cv_.notify_all();
+  const std::uint64_t epoch = note_release_locked();
+  lock.unlock();
+  released(epoch);
 }
 
 void OocCoordinator::end_node(index_t node, NodeFactor& nf, index_t worker) {
   MEMFRONT_SPAN("ooc.end_node", node);
   const count_t window = square(tree_.nfront(node)) + reserve_doubles(node);
+  std::uint64_t epoch = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     charge_locked(-window);
     if (sched_hooks_.charged) sched_hooks_.charged(worker, -window);
+    epoch = note_release_locked();
   }
+  released(epoch);
 
   if (config_.spill_factors) {
     auto& slot = factors_->nodes[sz(node)];
@@ -466,10 +519,11 @@ void OocCoordinator::end_node(index_t node, NodeFactor& nf, index_t worker) {
         }
       }
       if (queued) {
-        block_out = store_->append(worker, node, std::move(part));
+        block_out = store_->append(factor_file(worker), node, std::move(part));
         part.clear();
       } else {
-        block_out = store_->write_now(worker, node, part.data(), part.size());
+        block_out = store_->write_now(factor_file(worker), node, part.data(),
+                                      part.size());
         std::vector<double>().swap(part);
       }
     };
@@ -483,22 +537,32 @@ void OocCoordinator::end_node(index_t node, NodeFactor& nf, index_t worker) {
     }
   }
 
-  std::lock_guard<std::mutex> lock(mu_);
-  --mid_node_;
-  cv_.notify_all();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    --mid_node_;
+    epoch = note_release_locked();
+  }
+  released(epoch);
 }
 
 void OocCoordinator::cancel() {
-  std::lock_guard<std::mutex> lock(mu_);
-  cancelled_ = true;
-  cv_.notify_all();
+  std::uint64_t epoch = 0;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    cancelled_ = true;
+    epoch = note_release_locked();
+  }
+  released(epoch);
 }
 
 OocExecStats OocCoordinator::finish() {
   {
-    // The final drain: its wait is already measured by the store as
-    // flush_wait_seconds, folded into the stall below.
+    // The final drain: its waits are already measured by the store as
+    // flush_wait_seconds, folded into the stall below. Every CB block
+    // was reloaded and dropped by its parent, so the CB files are
+    // truncated first: their dead pages are never written back.
     MEMFRONT_SPAN("ooc.finish_drain");
+    for (index_t w = 0; w < workers_; ++w) store_->discard(cb_file(w));
     store_->flush();
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -515,10 +579,11 @@ OocExecStats OocCoordinator::finish() {
   stats_.stall_seconds += ss.read_seconds + ss.append_stall_seconds +
                           ss.flush_wait_seconds + ss.direct_write_seconds;
   if (write_behind_) {
-    // Background-write time the compute threads did not wait out.
+    // Background-write time the compute threads did not wait out: the
+    // I/O thread's busy time less the part of it during which at least
+    // one of them was blocked on it.
     stats_.overlap_seconds =
-        std::max(0.0, ss.write_busy_seconds - wait_while_inflight_seconds_ -
-                          ss.append_stall_seconds - ss.flush_wait_seconds);
+        std::max(0.0, ss.write_busy_seconds - ss.waited_write_seconds);
   } else {
     stats_.stall_seconds += ss.write_busy_seconds;
     stats_.overlap_seconds = 0;
@@ -538,16 +603,9 @@ void ensure_factors_resident(const Factorization& fact) {
   // factorization produced; the mutex serializes concurrent solvers.
   auto& nodes = const_cast<std::vector<NodeFactor>&>(fact.nodes);
   count_t reloaded = 0;
-  const auto prefetch_node = [&](std::size_t i) {
-    const OocFactorState::NodeBlocks& nb = st->nodes[i];
-    if (nb.panel >= 0) st->store->prefetch(nb.panel);
-    if (nb.u12 >= 0) st->store->prefetch(nb.u12);
-  };
-  // One-node read-ahead: while node i streams in, node i+1's blocks
-  // warm the cache from the store's I/O thread.
-  if (!st->nodes.empty()) prefetch_node(0);
+  // Straight into the factor storage, with no read-ahead: from the page
+  // cache a direct read beats a read-ahead copy plus a memcpy.
   for (std::size_t i = 0; i < st->nodes.size(); ++i) {
-    if (i + 1 < st->nodes.size()) prefetch_node(i + 1);
     OocFactorState::NodeBlocks& nb = st->nodes[i];
     NodeFactor& nf = nodes[i];
     if (nb.panel >= 0) {

@@ -31,19 +31,31 @@
 // issues between begin and end is covered by its reservation or
 // degrades to an uncharged synchronous write, so workers holding
 // memory always run to end_node and admission waits cannot deadlock —
-// collectively or cyclically. begin_node declares the budget
-// infeasible (structured kResourceExhausted, or a recorded overrun
-// under allow_overrun) only when nothing is spillable, nothing is in
-// flight, and no worker is mid-node.
+// collectively or cyclically. Under the parallel driver that wait is
+// the scheduler's (OocSchedHooks::wait): the waiter helps the running
+// fronts' trailing updates until a release is reported. begin_node
+// declares the budget infeasible (structured kResourceExhausted, or a
+// recorded overrun under allow_overrun) only when nothing is
+// spillable, nothing is in flight, and no worker is mid-node.
+//
+// Spill files: the store holds two files per worker, one per block
+// lifetime. File w takes worker w's CB blocks (evictions and streamed
+// extractions), which every parent reloads and drops; file workers + w
+// takes its factor panels, which live until the solve. finish()
+// discards the CB files before the final flush, so their dead pages
+// are dropped instead of written back.
 //
 // Locking protocol: the coordinator mutex is never held across a
-// SpillStore call that can block (append/read/flush) — store landings
-// re-enter the coordinator from the I/O thread. Fault determinism: all
-// disk fault sites key on the block's tree node, so a chaos schedule
-// fires on the same blocks regardless of worker interleaving.
+// SpillStore call that can block (append/read/flush/discard) — store
+// landings re-enter the coordinator from the I/O thread — nor across a
+// call into the scheduler, except the lock-free `charged` hook. Fault
+// determinism: all disk fault sites key on the block's tree node, so a
+// chaos schedule fires on the same blocks regardless of worker
+// interleaving.
 #pragma once
 
 #include <condition_variable>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -68,10 +80,23 @@ struct NodeFactor;
 /// release (-delta) so the policy host's announced memory tracks
 /// in-flight OOC reservations; it must be lock-free (atomics only), as
 /// it runs under the coordinator mutex.
+///
+/// The memory wait. The coordinator numbers its releases (charge
+/// releases, landings, spill publications, store_cb, end_node, cancel)
+/// with a release epoch and reports each one through `released(epoch)`
+/// after dropping its mutex. `wait(worker, seen)` is a begin_node
+/// admission wait: it returns once a release past `seen` (read under
+/// the coordinator mutex) was reported, or the run failed, and the
+/// worker may run other fronts' work meanwhile; it returns the seconds
+/// spent on that work, which are not stall. Install both or neither.
+/// Without `wait` (the serial driver) the coordinator sleeps on its own
+/// condition variable.
 struct OocSchedHooks {
   std::function<double(index_t worker, index_t node, count_t window_doubles)>
       admit;
   std::function<void(index_t worker, count_t delta)> charged;
+  std::function<double(index_t worker, std::uint64_t seen)> wait;
+  std::function<void(std::uint64_t epoch)> released;
 };
 
 /// Where a factorization's panels went: kept by the Factorization so
@@ -177,9 +202,17 @@ class OocCoordinator {
   void on_landing(SpillStore::BlockId id, index_t node, std::size_t bytes,
                   bool ok);
   void charge_locked(count_t doubles);
+  /// Numbers a release and wakes the coordinator's own sleepers; the
+  /// caller reports the returned epoch through released() once it has
+  /// dropped mu_.
+  std::uint64_t note_release_locked();
+  void released(std::uint64_t epoch);
+  index_t cb_file(index_t worker) const { return worker; }
+  index_t factor_file(index_t worker) const { return workers_ + worker; }
 
   const AssemblyTree& tree_;
   OocExecConfig config_;
+  index_t workers_ = 1;
   count_t budget_ = 0;
   bool write_behind_ = true;
   std::shared_ptr<SpillStore> store_;
@@ -194,9 +227,9 @@ class OocCoordinator {
   count_t charged_ = 0;              // resident + fronts + in-flight
   count_t inflight_ = 0;             // subset of charged_: queued writes
   index_t mid_node_ = 0;             // workers between begin and end
+  std::uint64_t release_epoch_ = 0;  // releases numbered so far
   bool cancelled_ = false;
   OocExecStats stats_;
-  double wait_while_inflight_seconds_ = 0;
 };
 
 }  // namespace memfront

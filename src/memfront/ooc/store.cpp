@@ -1,8 +1,10 @@
 #include "memfront/ooc/store.hpp"
 
 #include <fcntl.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -52,13 +54,48 @@ ErrorContext io_context(index_t node, const std::string& path,
                                 " offset=" + std::to_string(offset)};
 }
 
+/// The iovecs covering bytes [from, to) of a frame: the header, then
+/// the payload (the caller's buffer). Returns how many it filled.
+int frame_iov(iovec (&iov)[2], const SpillBlockHeader& header,
+              const double* payload, std::size_t from, std::size_t to) {
+  constexpr std::size_t kHeader = sizeof(SpillBlockHeader);
+  int n = 0;
+  if (from < kHeader)
+    iov[n++] = {const_cast<char*>(reinterpret_cast<const char*>(&header)) +
+                    from,
+                std::min(to, kHeader) - from};
+  if (to > kHeader) {
+    const std::size_t p0 = std::max(from, kHeader) - kHeader;
+    iov[n++] = {const_cast<char*>(reinterpret_cast<const char*>(payload)) +
+                    p0,
+                to - kHeader - p0};
+  }
+  return n;
+}
+
 }  // namespace
 
 std::uint64_t spill_checksum(const double* data, std::size_t count) {
-  std::uint64_t h = 0x243f6a8885a308d3ULL;
-  h = hash_mix(h, static_cast<std::uint64_t>(count));
-  for (std::size_t i = 0; i < count; ++i) h = hash_mix(h, data[i]);
-  return h;
+  // Four independent chains keep four multiplies in flight; a single
+  // chain is bound by the latency of one.
+  std::uint64_t h0 = 0x243f6a8885a308d3ULL, h1 = 0x13198a2e03707344ULL,
+                h2 = 0xa4093822299f31d0ULL, h3 = 0x082efa98ec4e6c89ULL;
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    h0 = hash_mix(h0, data[i]);
+    h1 = hash_mix(h1, data[i + 1]);
+    h2 = hash_mix(h2, data[i + 2]);
+    h3 = hash_mix(h3, data[i + 3]);
+  }
+  if (i < count) h0 = hash_mix(h0, data[i++]);
+  if (i < count) h1 = hash_mix(h1, data[i++]);
+  if (i < count) h2 = hash_mix(h2, data[i]);
+  std::uint64_t h = hash_mix(0x452821e638d01377ULL,
+                             static_cast<std::uint64_t>(count));
+  h = hash_mix(h, h0);
+  h = hash_mix(h, h1);
+  h = hash_mix(h, h2);
+  return hash_mix(h, h3);
 }
 
 std::uint64_t SpillBlockHeader::compute_header_check() const {
@@ -100,6 +137,7 @@ SpillStore::SpillStore(const SpillStoreOptions& options, LandingFn on_landing)
     files_.push_back(fd);
   }
   next_offset_.assign(paths_.size(), 0);
+  queued_writes_.assign(paths_.size(), 0);
   if (write_behind_) io_thread_ = std::thread([this] { io_thread_loop(); });
 }
 
@@ -167,10 +205,13 @@ void SpillStore::write_block_checked(const Block& block, const double* data,
   header.payload_bytes = block.payload_bytes;
   header.payload_check = spill_checksum(data, count);
   header.header_check = header.compute_header_check();
-
-  std::vector<char> frame(sizeof(header) + block.payload_bytes);
-  std::memcpy(frame.data(), &header, sizeof(header));
-  std::memcpy(frame.data() + sizeof(header), data, block.payload_bytes);
+  const std::size_t frame = sizeof(header) + block.payload_bytes;
+  // Bytes [from, to) of the frame, straight from `header` and `data`.
+  const auto pwrite_frame = [&](std::size_t from, std::size_t to) {
+    iovec iov[2];
+    const int n = frame_iov(iov, header, data, from, to);
+    return ::pwritev(fd, iov, n, static_cast<off_t>(block.offset + from));
+  };
 
   auto backoff = kIoRetryBackoff;
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
@@ -186,19 +227,16 @@ void SpillStore::write_block_checked(const Block& block, const double* data,
       continue;
     }
     std::size_t done = 0;
-    // A short pwrite (a real one, or the injected short_write tear)
-    // resumes from where it stopped — partial progress is not an error.
+    // A short write (a real one, or the injected short_write tear)
+    // resumes from the byte where it stopped, inside the header or the
+    // payload — partial progress is not an error.
     if (attempt == 0 && MEMFRONT_FAULT("store.short_write", block.node)) {
-      const std::size_t half = frame.size() / 2;
-      const ssize_t w = ::pwrite(fd, frame.data(), half,
-                                 static_cast<off_t>(block.offset));
+      const ssize_t w = pwrite_frame(0, frame / 2);
       if (w > 0) done = static_cast<std::size_t>(w);
     }
     bool io_failed = false;
-    while (done < frame.size()) {
-      const ssize_t w =
-          ::pwrite(fd, frame.data() + done, frame.size() - done,
-                   static_cast<off_t>(block.offset + done));
+    while (done < frame) {
+      const ssize_t w = pwrite_frame(done, frame);
       if (w < 0) {
         if (errno == EINTR) continue;
         io_failed = true;
@@ -218,10 +256,10 @@ void SpillStore::write_block_checked(const Block& block, const double* data,
                     "spill store: block write failed after bounded retries",
                     std::source_location::current(),
                     io_context(block.node, path, block.offset,
-                               "bytes=" + std::to_string(frame.size())));
+                               "bytes=" + std::to_string(frame)));
 }
 
-std::vector<double> SpillStore::read_block_checked(BlockId id) {
+void SpillStore::read_block_checked(BlockId id, double* out) {
   Block block;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -251,12 +289,15 @@ std::vector<double> SpillStore::read_block_checked(BlockId id) {
       retry("injected transient read failure");
       continue;
     }
-    std::vector<char> frame(frame_bytes);
+    // The header lands in `header`, the payload straight in `out`.
+    SpillBlockHeader header;
     std::size_t done = 0;
     bool truncated = false, io_failed = false;
     while (done < frame_bytes) {
-      const ssize_t r = ::pread(fd, frame.data() + done, frame_bytes - done,
-                                static_cast<off_t>(block.offset + done));
+      iovec iov[2];
+      const int n = frame_iov(iov, header, out, done, frame_bytes);
+      const ssize_t r =
+          ::preadv(fd, iov, n, static_cast<off_t>(block.offset + done));
       if (r < 0) {
         if (errno == EINTR) continue;
         io_failed = true;
@@ -286,11 +327,9 @@ std::vector<double> SpillStore::read_block_checked(BlockId id) {
         MEMFRONT_FAULT("store.torn_read",
                        static_cast<std::int64_t>(block.node) * kMaxIoAttempts +
                            attempt))
-      frame[sizeof(SpillBlockHeader) + frame.size() % block.payload_bytes] ^=
-          0x5a;
+      reinterpret_cast<unsigned char*>(out)[frame_bytes %
+                                            block.payload_bytes] ^= 0x5a;
 
-    SpillBlockHeader header;
-    std::memcpy(&header, frame.data(), sizeof(header));
     if (header.magic != SpillBlockHeader::kMagic ||
         header.version != SpillBlockHeader::kVersion ||
         header.header_check != header.compute_header_check() ||
@@ -302,17 +341,14 @@ std::vector<double> SpillStore::read_block_checked(BlockId id) {
                         io_context(block.node, path, block.offset,
                                    "magic=" + std::to_string(header.magic)));
 
-    std::vector<double> payload(block.payload_bytes / sizeof(double));
-    std::memcpy(payload.data(), frame.data() + sizeof(header),
-                block.payload_bytes);
-    if (spill_checksum(payload.data(), payload.size()) !=
+    if (spill_checksum(out, block.payload_bytes / sizeof(double)) !=
         header.payload_check) {
       // A checksum mismatch could be a transient transfer error:
       // reread within the bounded attempts, then surface it.
       retry("payload checksum mismatch");
       continue;
     }
-    return payload;
+    return;
   }
   throw SolverError(
       ErrorCode::kIoError,
@@ -324,9 +360,11 @@ std::vector<double> SpillStore::read_block_checked(BlockId id) {
 void SpillStore::land_locked(std::unique_lock<std::mutex>& lock, BlockId id,
                              std::size_t bytes, bool ok) {
   Block& block = blocks_[static_cast<std::size_t>(id)];
+  // A block dropped while queued stays dead.
   if (block.state == BlockState::kQueued)
     block.state = ok ? BlockState::kWritten : BlockState::kFailed;
   queued_bytes_ -= bytes;
+  --queued_writes_[static_cast<std::size_t>(block.file)];
   ++callbacks_in_progress_;
   LandingFn fn = landing_;
   const index_t node = block.node;
@@ -336,6 +374,37 @@ void SpillStore::land_locked(std::unique_lock<std::mutex>& lock, BlockId id,
   lock.lock();
   --callbacks_in_progress_;
   cv_.notify_all();
+}
+
+/// Call before io_waiters_ or writing_ changes: accounts the interval
+/// since the last change to waited_write_seconds when, throughout it,
+/// the I/O thread wrote while someone waited for it.
+void SpillStore::tick_io_clock_locked() {
+  const auto now = std::chrono::steady_clock::now();
+  if (writing_ && io_waiters_ > 0)
+    stats_.waited_write_seconds +=
+        std::chrono::duration<double>(now - io_clock_).count();
+  io_clock_ = now;
+}
+
+void SpillStore::io_wait_begin_locked() {
+  tick_io_clock_locked();
+  ++io_waiters_;
+}
+
+void SpillStore::io_wait_end_locked() {
+  tick_io_clock_locked();
+  --io_waiters_;
+}
+
+void SpillStore::io_wait_begin() {
+  std::lock_guard<std::mutex> lock(mu_);
+  io_wait_begin_locked();
+}
+
+void SpillStore::io_wait_end() {
+  std::lock_guard<std::mutex> lock(mu_);
+  io_wait_end_locked();
 }
 
 void SpillStore::io_thread_loop() {
@@ -352,26 +421,38 @@ void SpillStore::io_thread_loop() {
     const Block block = blocks_[static_cast<std::size_t>(task.id)];
     const std::size_t bytes = task.data.size() * sizeof(double);
     if (task.is_prefetch) {
+      // Claimed by a demand read or dropped since it was queued: skip.
+      Block& target = blocks_[static_cast<std::size_t>(task.id)];
+      if (target.prefetch != Prefetch::kQueued) continue;
+      target.prefetch = Prefetch::kRunning;
       lock.unlock();
-      std::vector<double> payload;
-      std::exception_ptr err;
+      auto payload = std::make_unique_for_overwrite<double[]>(
+          block.payload_bytes / sizeof(double));
+      bool ok = true;
       try {
-        payload = read_block_checked(task.id);
+        read_block_checked(task.id, payload.get());
       } catch (...) {
         // Prefetch is advisory: a failed read-ahead is dropped and the
         // demand read reproduces (and surfaces) the error.
-        err = std::current_exception();
+        ok = false;
       }
       lock.lock();
-      if (!err) read_ahead_.emplace(task.id, std::move(payload));
+      Block& landed = blocks_[static_cast<std::size_t>(task.id)];
+      landed.prefetch = Prefetch::kNone;
+      if (ok && landed.state == BlockState::kWritten)
+        read_ahead_.emplace(task.id, std::move(payload));
       cv_.notify_all();
       continue;
     }
     // A failed store fails every later write fast (their landings must
-    // still fire so waiters holding charges unwind).
+    // still fire so waiters holding charges unwind). A block dropped
+    // while it was queued is dead: its landing fires, its write is
+    // skipped.
     bool ok = !failure_;
-    if (ok) {
+    if (ok && block.state != BlockState::kDropped) {
       const auto t0 = std::chrono::steady_clock::now();
+      tick_io_clock_locked();
+      writing_ = true;
       lock.unlock();
       try {
         write_block_checked(block, task.data.data(), task.data.size());
@@ -382,11 +463,13 @@ void SpillStore::io_thread_loop() {
         lock.unlock();
       }
       lock.lock();
+      tick_io_clock_locked();
+      writing_ = false;
       stats_.write_busy_seconds += seconds_since(t0);
-    }
-    if (ok) {
-      ++stats_.blocks_written;
-      stats_.bytes_written += static_cast<std::int64_t>(bytes);
+      if (ok) {
+        ++stats_.blocks_written;
+        stats_.bytes_written += static_cast<std::int64_t>(bytes);
+      }
     }
     land_locked(lock, task.id, bytes, ok);
   }
@@ -398,6 +481,7 @@ SpillStore::BlockId SpillStore::append(index_t file, index_t node,
   std::unique_lock<std::mutex> lock(mu_);
   if (failure_) std::rethrow_exception(failure_);
   const BlockId id = reserve_block_locked(file, node, data.size());
+  ++queued_writes_[static_cast<std::size_t>(file)];
 
   if (!write_behind_) {
     const Block block = blocks_[static_cast<std::size_t>(id)];
@@ -423,16 +507,23 @@ SpillStore::BlockId SpillStore::append(index_t file, index_t node,
     return id;
   }
 
-  if (buffer_cap_ > 0) {
+  const auto room = [&] {
+    return failure_ || stopping_ || buffer_cap_ == 0 ||
+           queued_bytes_ + bytes <= buffer_cap_ || queued_bytes_ == 0;
+  };
+  if (!room()) {
     // Full buffer: stall until enough in-flight writes land. An
     // oversized block degrades gracefully: drain everything, then push.
     const auto t0 = std::chrono::steady_clock::now();
-    cv_.wait(lock, [&] {
-      return failure_ || stopping_ ||
-             queued_bytes_ + bytes <= buffer_cap_ || queued_bytes_ == 0;
-    });
+    io_wait_begin_locked();
+    cv_.wait(lock, room);
+    io_wait_end_locked();
     stats_.append_stall_seconds += seconds_since(t0);
-    if (failure_) std::rethrow_exception(failure_);
+  }
+  if (failure_) {
+    --queued_writes_[static_cast<std::size_t>(file)];
+    blocks_[static_cast<std::size_t>(id)].state = BlockState::kFailed;
+    std::rethrow_exception(failure_);
   }
   queued_bytes_ += bytes;
   stats_.buffer_high_water_bytes =
@@ -471,18 +562,20 @@ SpillStore::BlockId SpillStore::write_now(index_t file, index_t node,
 
 void SpillStore::wait_written(std::unique_lock<std::mutex>& lock,
                               BlockId id) {
-  cv_.wait(lock, [&] {
-    return blocks_[static_cast<std::size_t>(id)].state !=
-               BlockState::kQueued ||
-           failure_ || stopping_;
-  });
-  if (blocks_[static_cast<std::size_t>(id)].state != BlockState::kWritten) {
+  const Block& block = blocks_[static_cast<std::size_t>(id)];
+  if (block.state == BlockState::kQueued) {
+    io_wait_begin_locked();
+    cv_.wait(lock, [&] {
+      return block.state != BlockState::kQueued || failure_ || stopping_;
+    });
+    io_wait_end_locked();
+  }
+  if (block.state != BlockState::kWritten) {
     if (failure_) std::rethrow_exception(failure_);
     throw SolverError(ErrorCode::kIoError,
                       "spill store: read of a failed or dropped block",
                       std::source_location::current(),
-                      ErrorContext{.node = blocks_[static_cast<std::size_t>(
-                                       id)].node,
+                      ErrorContext{.node = block.node,
                                    .input_line = -1,
                                    .detail = {}});
   }
@@ -494,25 +587,28 @@ void SpillStore::read(BlockId id, double* out, std::size_t count) {
             blocks_[static_cast<std::size_t>(id)].payload_bytes,
         "spill store: read size mismatch");
   wait_written(lock, id);
+  Block& block = blocks_[static_cast<std::size_t>(id)];
+  // A read-ahead of this block still queued is claimed; one running is
+  // the fastest way to the bytes.
+  if (block.prefetch == Prefetch::kQueued) block.prefetch = Prefetch::kNone;
+  cv_.wait(lock, [&] { return block.prefetch == Prefetch::kNone; });
   if (auto it = read_ahead_.find(id); it != read_ahead_.end()) {
-    std::vector<double> payload = std::move(it->second);
+    const std::unique_ptr<double[]> payload = std::move(it->second);
     read_ahead_.erase(it);
     ++stats_.prefetch_hits;
     ++stats_.blocks_read;
     stats_.bytes_read += static_cast<std::int64_t>(count * sizeof(double));
     lock.unlock();
-    std::memcpy(out, payload.data(), count * sizeof(double));
+    std::memcpy(out, payload.get(), count * sizeof(double));
     return;
   }
   lock.unlock();
   const auto t0 = std::chrono::steady_clock::now();
-  std::vector<double> payload = read_block_checked(id);
+  read_block_checked(id, out);
   lock.lock();
   stats_.read_seconds += seconds_since(t0);
   ++stats_.blocks_read;
   stats_.bytes_read += static_cast<std::int64_t>(count * sizeof(double));
-  lock.unlock();
-  std::memcpy(out, payload.data(), count * sizeof(double));
 }
 
 std::vector<double> SpillStore::read(BlockId id) {
@@ -525,9 +621,11 @@ void SpillStore::prefetch(BlockId id) {
   if (!write_behind_) return;
   std::lock_guard<std::mutex> lock(mu_);
   if (failure_ || stopping_) return;
-  if (blocks_[static_cast<std::size_t>(id)].state != BlockState::kWritten)
+  Block& block = blocks_[static_cast<std::size_t>(id)];
+  if (block.state != BlockState::kWritten)
     return;  // still in flight: the demand read will wait for it anyway
-  if (read_ahead_.contains(id)) return;
+  if (block.prefetch != Prefetch::kNone || read_ahead_.contains(id)) return;
+  block.prefetch = Prefetch::kQueued;
   queue_.push_back(IoTask{id, {}, true});
   io_cv_.notify_one();
 }
@@ -535,16 +633,53 @@ void SpillStore::prefetch(BlockId id) {
 void SpillStore::drop(BlockId id) {
   std::lock_guard<std::mutex> lock(mu_);
   Block& block = blocks_[static_cast<std::size_t>(id)];
-  if (block.state == BlockState::kWritten) block.state = BlockState::kDropped;
+  if (block.state == BlockState::kQueued ||
+      block.state == BlockState::kWritten)
+    block.state = BlockState::kDropped;
+  if (block.prefetch == Prefetch::kQueued) block.prefetch = Prefetch::kNone;
   read_ahead_.erase(id);
+}
+
+void SpillStore::discard(index_t file) {
+  check(file >= 0 && static_cast<std::size_t>(file) < files_.size(),
+        "spill store: file index out of range");
+  const std::size_t f = static_cast<std::size_t>(file);
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (queued_writes_[f] > 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      io_wait_begin_locked();
+      cv_.wait(lock, [&] { return failure_ || queued_writes_[f] == 0; });
+      io_wait_end_locked();
+      stats_.flush_wait_seconds += seconds_since(t0);
+    }
+    if (failure_) std::rethrow_exception(failure_);
+    for (const Block& b : blocks_)
+      check(b.file != file || (b.state != BlockState::kQueued &&
+                               b.state != BlockState::kWritten),
+            "spill store: discard of a file that holds a live block");
+    next_offset_[f] = 0;
+  }
+  while (::ftruncate(files_[f], 0) != 0)
+    if (errno != EINTR)
+      throw SolverError(ErrorCode::kIoError,
+                        "spill store: cannot truncate a discarded file",
+                        std::source_location::current(),
+                        io_context(kNone, paths_[f], 0,
+                                   std::string("errno=") +
+                                       std::strerror(errno)));
 }
 
 void SpillStore::flush() {
   {
     std::unique_lock<std::mutex> lock(mu_);
-    const auto t0 = std::chrono::steady_clock::now();
-    cv_.wait(lock, [&] { return failure_ || queued_bytes_ == 0; });
-    stats_.flush_wait_seconds += seconds_since(t0);
+    if (queued_bytes_ > 0) {
+      const auto t0 = std::chrono::steady_clock::now();
+      io_wait_begin_locked();
+      cv_.wait(lock, [&] { return failure_ || queued_bytes_ == 0; });
+      io_wait_end_locked();
+      stats_.flush_wait_seconds += seconds_since(t0);
+    }
     if (failure_) std::rethrow_exception(failure_);
   }
   for (std::size_t f = 0; f < files_.size(); ++f) {

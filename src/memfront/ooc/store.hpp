@@ -1,12 +1,12 @@
 // Real spill storage of the out-of-core execution mode.
 //
-// A SpillStore owns a set of per-worker spill files (one file per
-// worker keeps the write streams append-only and seek-free, mirroring
-// the simulator's per-processor disk channels) and moves blocks of
-// doubles between RAM and disk. Every block carries a checksummed
-// header, so a truncated or corrupted file is detected on reload and
-// surfaces as a structured kIoError with file/offset/node context —
-// never a silent wrong answer.
+// A SpillStore owns a set of append-only spill files (the coordinator
+// opens two per worker, one per block lifetime: write streams never
+// seek, mirroring the simulator's per-processor disk channels) and moves
+// blocks of doubles between RAM and disk. Every block carries a
+// checksummed header, so a truncated or corrupted file is detected on
+// reload and surfaces as a structured kIoError with file/offset/node
+// context — never a silent wrong answer.
 //
 // Two I/O disciplines, matching the simulator's OocIoMode split:
 //
@@ -19,25 +19,31 @@
 //    OocEngine::buffer_push applies). Each landing fires a callback so
 //    the budget coordinator can release the block's memory charge.
 //
-// Reads wait for the block's write to land (positional pread, so reads
-// never contend with the append stream's offsets) and verify the header
-// and payload checksum; prefetch() warms an internal read-ahead cache
-// from the same I/O thread.
+// Blocks move without intermediate copies: a write is one pwritev of
+// the header and the caller's payload, a read one preadv of the header
+// and the caller's destination, and the checksums are verified in
+// place. Reads wait for the block's write to land (positional, so they
+// never contend with the append stream's offsets); prefetch() warms an
+// internal read-ahead cache from the same I/O thread, and a hit costs
+// one memcpy. A file whose blocks are all dead can be discard()ed:
+// truncated to 0 bytes, so its dirty pages are never written back.
 //
 // Fault sites (deterministic ids = the block's tree node):
 //   store.write       transient write failure, bounded-retry absorbed
-//   store.short_write first pwrite returns half the block (resumed)
+//   store.short_write first pwritev stops at half the frame (resumed)
 //   store.enospc      hard out-of-space, no retry
 //   store.read        transient read failure, bounded-retry absorbed
 //   store.torn_read   payload corrupted in transit (checksum catches)
 //   store.fsync       transient fsync failure, bounded-retry absorbed
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -51,9 +57,10 @@ namespace memfront {
 /// On-disk framing of one spilled block. The header itself is
 /// checksummed (header_check) so a torn header is distinguishable from
 /// a torn payload; payload_check covers the raw bytes of the doubles.
+/// Version 2: payload_check is the four-lane spill_checksum.
 struct SpillBlockHeader {
   static constexpr std::uint32_t kMagic = 0x4253464DU;  // "MFSB"
-  static constexpr std::uint32_t kVersion = 1;
+  static constexpr std::uint32_t kVersion = 2;
 
   std::uint32_t magic = kMagic;
   std::uint32_t version = kVersion;
@@ -65,6 +72,9 @@ struct SpillBlockHeader {
   std::uint64_t compute_header_check() const;
 };
 
+/// Payload checksum: four interleaved hash_mix chains (double k feeds
+/// chain k % 4) folded with the count. Every step is a bijection of the
+/// chain state, so changing any one double always changes the result.
 std::uint64_t spill_checksum(const double* data, std::size_t count);
 
 struct SpillStoreOptions {
@@ -72,7 +82,7 @@ struct SpillStoreOptions {
   /// falls back to the system temp directory. A unique per-store
   /// subdirectory is always created inside it.
   std::string dir;
-  /// Number of spill files (one per worker).
+  /// Number of spill files (the coordinator opens two per worker).
   index_t files = 1;
   /// Write-behind: bound on the in-flight (queued, not yet landed)
   /// bytes. 0 = unbounded.
@@ -95,7 +105,12 @@ struct SpillStoreStats {
   double direct_write_seconds = 0; // write_now() time on the caller
   double read_seconds = 0;         // blocking pread time on callers
   double append_stall_seconds = 0; // callers blocked on a full buffer
-  double flush_wait_seconds = 0;   // flush() waits for the queue drain
+  double flush_wait_seconds = 0;   // flush()/discard() queue-drain waits
+  /// Of write_busy_seconds, the wall seconds during which at least one
+  /// caller waited for queued writes to land (full-buffer appends, reads
+  /// of unlanded blocks, the final drains, and the waits marked by
+  /// io_wait_begin/io_wait_end): the background writing nobody hid.
+  double waited_write_seconds = 0;
 };
 
 class SpillStore {
@@ -131,15 +146,29 @@ class SpillStore {
   std::vector<double> read(BlockId id);
 
   /// Queues a background read of `id` into the read-ahead cache (a hit
-  /// makes the following read() a memcpy). No-op in synchronous mode.
+  /// makes the following read() a memcpy; a read() that comes first
+  /// cancels it). No-op in synchronous mode.
   void prefetch(BlockId id);
 
-  /// Forgets a block (its bytes stay in the file; the id dies). Pending
-  /// writes are allowed — the landing still fires.
+  /// Forgets a block: the id dies at once, even while its write is
+  /// still queued (the landing still fires; a write not yet started is
+  /// skipped). Its bytes stay in the file until discard().
   void drop(BlockId id);
+
+  /// Retires file `file`: waits for its queued writes, checks that
+  /// every block in it was dropped (InternalError otherwise), and
+  /// truncates it to 0 bytes, so its dirty pages are discarded instead
+  /// of written back. Later appends start the file over.
+  void discard(index_t file);
 
   /// Waits until every queued write has landed, then fsyncs the files.
   void flush();
+
+  /// Bracket a wait for queued writes that happens outside the store
+  /// (the coordinator's admission wait), so waited_write_seconds covers
+  /// it. Non-blocking; safe under the caller's own locks.
+  void io_wait_begin();
+  void io_wait_end();
 
   std::size_t block_doubles(BlockId id) const;
   index_t block_node(BlockId id) const;
@@ -159,12 +188,18 @@ class SpillStore {
  private:
   enum class BlockState : unsigned char { kQueued, kWritten, kFailed,
                                           kDropped };
+  /// A block's read-ahead: none, queued on the I/O thread, or being
+  /// read by it. A demand read claims a queued one (the I/O thread then
+  /// skips it) and waits for a running one, so no block is read twice
+  /// and no read-ahead outlives its demand read.
+  enum class Prefetch : unsigned char { kNone, kQueued, kRunning };
   struct Block {
     index_t file = 0;
     index_t node = kNone;
     std::uint64_t offset = 0;
     std::uint64_t payload_bytes = 0;
     BlockState state = BlockState::kQueued;
+    Prefetch prefetch = Prefetch::kNone;
   };
   struct IoTask {
     BlockId id = -1;
@@ -175,12 +210,15 @@ class SpillStore {
   void io_thread_loop();
   void write_block_checked(const Block& block, const double* data,
                            std::size_t count);
-  std::vector<double> read_block_checked(BlockId id);
+  void read_block_checked(BlockId id, double* out);
   BlockId reserve_block_locked(index_t file, index_t node,
                                std::size_t count);
   void land_locked(std::unique_lock<std::mutex>& lock, BlockId id,
                    std::size_t bytes, bool ok);
   void wait_written(std::unique_lock<std::mutex>& lock, BlockId id);
+  void io_wait_begin_locked();
+  void io_wait_end_locked();
+  void tick_io_clock_locked();
 
   std::string dir_;
   std::vector<std::string> paths_;
@@ -195,8 +233,12 @@ class SpillStore {
   std::deque<Block> blocks_;
   std::vector<std::uint64_t> next_offset_;  // per-file append position
   std::deque<IoTask> queue_;
-  std::unordered_map<BlockId, std::vector<double>> read_ahead_;
+  std::unordered_map<BlockId, std::unique_ptr<double[]>> read_ahead_;
   std::size_t queued_bytes_ = 0;
+  std::vector<std::size_t> queued_writes_;  // per file: appended, unlanded
+  int io_waiters_ = 0;                      // callers waiting for landings
+  bool writing_ = false;                    // the I/O thread is writing
+  std::chrono::steady_clock::time_point io_clock_;  // last change of either
   bool stopping_ = false;
   int callbacks_in_progress_ = 0;
   std::exception_ptr failure_;

@@ -70,10 +70,11 @@ struct Runtime {
       std::lock_guard<std::mutex> lock(mu);
       if (!error) error = e;
     }
-    sched->fail();
-    // Admission waiters in the coordinator wait for memory a dead
-    // worker can no longer free: wake them with a failure too.
+    // Admission waiters wait for memory a dead worker can no longer
+    // free: cancel the coordinator first, so a memory waiter the
+    // scheduler's failure wakes finds the admission cancelled.
     if (ooc) ooc->cancel();
+    sched->fail();
   }
 };
 
@@ -332,6 +333,12 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
          },
          /*charged=*/[&sched](index_t w, count_t delta) {
            sched.add_ooc_charge(w, delta);
+         },
+         /*wait=*/[&sched](index_t w, std::uint64_t seen) {
+           return sched.wait_for_memory(static_cast<unsigned>(w), seen);
+         },
+         /*released=*/[&sched](std::uint64_t epoch) {
+           sched.memory_released(epoch);
          }});
     rt.ooc = ooc.get();
   }

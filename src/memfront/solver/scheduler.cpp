@@ -1,6 +1,7 @@
 #include "memfront/solver/scheduler.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "memfront/frontal/arena.hpp"
@@ -12,8 +13,16 @@ namespace memfront {
 namespace {
 
 /// Sleepers re-check the world on this tick even if a notify was lost;
-/// a safety net, not the signalling path (targeted wakeups are).
+/// a safety net, not the signalling path (targeted wakeups are). A wait
+/// it ends that then finds progress counts as a tick rescue.
 constexpr std::chrono::milliseconds kIdleTick{50};
+
+constexpr std::size_t kEveryone = std::numeric_limits<std::size_t>::max();
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
 
 SchedConfig sched_config_for(RealPolicy p, count_t ooc_budget) {
   SchedConfig cfg;
@@ -171,6 +180,7 @@ NumericScheduler::NumericScheduler(
   policy_reads_host_ = options_.policy == RealPolicy::kMemory ||
                        options_.policy_override != nullptr;
 
+  sleepers_ = std::vector<Sleeper>(workers);
   deques_.resize(workers);
   started_.assign(workers, 0);
   remaining_ = subtrees.roots.size() + upper_nodes.size();
@@ -374,17 +384,17 @@ bool NumericScheduler::try_adopt_locked(unsigned w) {
   return false;
 }
 
-std::exception_ptr NumericScheduler::SharedJob::run(bool helper,
+std::exception_ptr NumericScheduler::SharedJob::run(const char* fault_site,
                                                     std::uint64_t& done) {
   for (;;) {
     if (failed.load(std::memory_order_relaxed)) return nullptr;
     const std::size_t b = next.fetch_add(1, std::memory_order_relaxed);
     if (b >= blocks) return nullptr;
     try {
-      // Fault site: a helper dying inside another worker's front must
+      // Fault sites: a helper dying inside another worker's front must
       // reach the owner as its task's failure, once every helper left.
-      if (helper && MEMFRONT_FAULT("worker.help_exception",
-                                   static_cast<std::int64_t>(b)))
+      if (fault_site != nullptr &&
+          MEMFRONT_FAULT(fault_site, static_cast<std::int64_t>(b)))
         throw std::runtime_error("injected helper failure in a shared front");
       body(b);
     } catch (...) {
@@ -395,7 +405,9 @@ std::exception_ptr NumericScheduler::SharedJob::run(bool helper,
   }
 }
 
-bool NumericScheduler::help_locked(std::unique_lock<std::mutex>& lock) {
+bool NumericScheduler::help_locked(std::unique_lock<std::mutex>& lock,
+                                   const char* fault_site,
+                                   std::uint64_t& done) {
   const auto open = std::find_if(jobs_.begin(), jobs_.end(), [](SharedJob* j) {
     return j->next.load(std::memory_order_relaxed) < j->blocks &&
            !j->failed.load(std::memory_order_relaxed);
@@ -407,11 +419,11 @@ bool NumericScheduler::help_locked(std::unique_lock<std::mutex>& lock) {
   // owner's return from for_each.
   ++job.helpers;
   lock.unlock();
-  std::uint64_t done = 0;
+  done = 0;
   std::exception_ptr error;
   {
     MEMFRONT_SPAN("help", static_cast<std::int64_t>(job.seq));
-    error = job.run(/*helper=*/true, done);
+    error = job.run(fault_site, done);
   }
   lock.lock();
   stats_.helper_blocks += done;
@@ -428,14 +440,13 @@ void NumericScheduler::for_each(std::size_t n,
     std::lock_guard<std::mutex> lock(mu_);
     // Post whenever another worker holds no task, asleep or not: one
     // that is still on its way to sleep (say, preempted right after its
-    // last completion) joins when it gets there.
+    // last completion) joins when it gets there. A worker waiting for
+    // memory holds no task here either.
     if (running_ < deques_.size() && !failed_) {
       job.seq = stats_.shared_updates++;
       jobs_.push_back(&job);
-      if (waiting_ > 0) {
-        stats_.helper_wakeups += waiting_;
-        cv_.notify_all();
-      }
+      stats_.helper_wakeups += wake_locked(Sleeper::Kind::kTask, kEveryone) +
+                               wake_locked(Sleeper::Kind::kMemory, kEveryone);
       posted = true;
     }
   }
@@ -444,7 +455,7 @@ void NumericScheduler::for_each(std::size_t n,
     return;
   }
   std::uint64_t done = 0;
-  std::exception_ptr error = job.run(/*helper=*/false, done);
+  std::exception_ptr error = job.run(/*fault_site=*/nullptr, done);
   {
     std::unique_lock<std::mutex> lock(mu_);
     jobs_.erase(std::find(jobs_.begin(), jobs_.end(), &job));
@@ -454,23 +465,54 @@ void NumericScheduler::for_each(std::size_t n,
   if (error) std::rethrow_exception(error);
 }
 
+/// Sleeps worker w on its own condition variable until a notifier wakes
+/// it or the tick passes. Returns true when the tick ended the wait.
+bool NumericScheduler::sleep_locked(std::unique_lock<std::mutex>& lock,
+                                    unsigned w, Sleeper::Kind kind) {
+  Sleeper& s = sleepers_[w];
+  s.kind = kind;
+  s.woken = false;
+  s.cv.wait_for(lock, kIdleTick, [&] { return s.woken; });
+  s.kind = Sleeper::Kind::kAwake;
+  return !s.woken;
+}
+
+/// Wakes up to `max` sleepers of `kind` that no one woke yet; returns
+/// how many it woke.
+std::size_t NumericScheduler::wake_locked(Sleeper::Kind kind,
+                                          std::size_t max) {
+  std::size_t woke = 0;
+  for (Sleeper& s : sleepers_) {
+    if (woke == max) break;
+    if (s.kind != kind || s.woken) continue;
+    s.woken = true;
+    s.cv.notify_one();
+    ++woke;
+  }
+  return woke;
+}
+
 void NumericScheduler::notify_one_locked() {
-  ++stats_.wakeups;
-  cv_.notify_one();
+  stats_.wakeups += wake_locked(Sleeper::Kind::kTask, 1);
 }
 
 void NumericScheduler::notify_all_locked() {
-  stats_.wakeups += waiting_;
-  cv_.notify_all();
+  stats_.wakeups += wake_locked(Sleeper::Kind::kTask, kEveryone);
 }
 
 bool NumericScheduler::next_task(unsigned w, Task& out) {
   std::unique_lock<std::mutex> lock(mu_);
   started_[w] = 1;
   auto& ws = host_.workers_[w];
+  bool by_tick = false;  // the last sleep ended on the tick
+  const auto progress = [&] {
+    if (by_tick) ++stats_.tick_rescues;
+    by_tick = false;
+  };
   for (;;) {
     if (failed_ || remaining_ == 0) return false;
     if (!deques_[w].empty() || (!options_.steal && !shared_ready_.empty())) {
+      progress();
       // The workload policy's dispatch is pure LIFO — it never reads
       // announced state, so skip the refresh on its hot path (steal
       // ranking refreshes for itself).
@@ -513,18 +555,55 @@ bool NumericScheduler::next_task(unsigned w, Task& out) {
       return true;
     }
     if (options_.steal ? try_steal_locked(w, now_locked())
-                       : try_adopt_locked(w))
+                       : try_adopt_locked(w)) {
+      progress();
       continue;
-    if (help_locked(lock)) continue;
+    }
+    std::uint64_t done = 0;
+    if (help_locked(lock, "worker.help_exception", done)) {
+      progress();
+      continue;
+    }
     ++waiting_;
     const auto idle_t0 = std::chrono::steady_clock::now();
-    cv_.wait_for(lock, kIdleTick);
+    by_tick = sleep_locked(lock, w, Sleeper::Kind::kTask);
     stats_.idle_ns += static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - idle_t0)
             .count());
     --waiting_;
   }
+}
+
+double NumericScheduler::wait_for_memory(unsigned w, std::uint64_t seen) {
+  std::unique_lock<std::mutex> lock(mu_);
+  // Inside begin_node the worker holds a dispatched task but no memory,
+  // and it posts no job of its own from here: it counts as holding no
+  // task, so owners post their trailing updates to it.
+  --running_;
+  double helped = 0;
+  bool by_tick = false;  // the last sleep ended on the tick
+  while (!failed_ && released_epoch_ <= seen) {
+    const auto t0 = std::chrono::steady_clock::now();
+    std::uint64_t done = 0;
+    if (help_locked(lock, "worker.memory_help_exception", done)) {
+      if (by_tick) ++stats_.tick_rescues;
+      by_tick = false;
+      stats_.memory_wait_blocks += done;
+      helped += seconds_since(t0);
+      continue;
+    }
+    by_tick = sleep_locked(lock, w, Sleeper::Kind::kMemory);
+  }
+  if (by_tick && !failed_) ++stats_.tick_rescues;
+  ++running_;
+  return helped;
+}
+
+void NumericScheduler::memory_released(std::uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  released_epoch_ = std::max(released_epoch_, epoch);
+  wake_locked(Sleeper::Kind::kMemory, kEveryone);
 }
 
 void NumericScheduler::complete(unsigned w, const Task& task) {
@@ -576,6 +655,7 @@ void NumericScheduler::fail() {
   std::lock_guard<std::mutex> lock(mu_);
   failed_ = true;
   if (waiting_ > 0) notify_all_locked();
+  wake_locked(Sleeper::Kind::kMemory, kEveryone);
 }
 
 bool NumericScheduler::failed() const {
@@ -595,12 +675,6 @@ void NumericScheduler::add_ooc_charge(index_t w, count_t delta) {
   host_.workers_[static_cast<std::size_t>(w)].ooc_charged.fetch_add(
       delta, std::memory_order_relaxed);
   ooc_charged_total_.fetch_add(delta, std::memory_order_relaxed);
-}
-
-bool NumericScheduler::would_admit_now(count_t need) const {
-  if (ooc_budget_ <= 0) return true;
-  return ooc_charged_total_.load(std::memory_order_relaxed) + need <=
-         ooc_budget_;
 }
 
 }  // namespace memfront

@@ -38,16 +38,21 @@
 // independent tasks, which reorders *writes to disjoint storage* only.
 // Completions use targeted wakeups: a sleeper is notified only when a
 // task became stealable/ready or the run drained or failed, never on
-// every completion.
+// every completion. Every worker sleeps on its own condition variable
+// and a notifier marks whom it woke, so a wait that ends on the
+// kIdleTick safety net and then finds progress is a lost wakeup,
+// counted in SchedStats::tick_rescues.
 //
 // Intra-front sharing (the paper's type-2 nodes on shared memory): the
 // scheduler is also the FrontTeam of every worker. A worker whose front
-// reaches a large trailing update while another worker sleeps in
-// next_task posts the update's column blocks as a job; a worker with no
-// task and nothing to steal claims blocks from the job's atomic cursor
-// instead of sleeping. Helpers write in place into the owner's front,
-// so they charge no memory and make no dispatch; and each element still
-// gets its whole update chain from one thread, so bits are unchanged.
+// reaches a large trailing update while another worker holds no task
+// posts the update's column blocks as a job; a worker with no task and
+// nothing to steal claims blocks from the job's atomic cursor instead
+// of sleeping, and so does a worker waiting for memory under an OOC
+// budget (wait_for_memory). Helpers write in place into the owner's
+// front, so they charge no memory and make no dispatch; and each
+// element still gets its whole update chain from one thread, so bits
+// are unchanged.
 #pragma once
 
 #include <atomic>
@@ -100,6 +105,11 @@ struct SchedStats {
   std::uint64_t shared_updates = 0;     ///< trailing updates posted to helpers
   std::uint64_t helper_blocks = 0;      ///< column blocks run by helpers
   std::uint64_t helper_wakeups = 0;     ///< sleepers notified of a post
+  /// Of helper_blocks, those run by workers waiting for memory.
+  std::uint64_t memory_wait_blocks = 0;
+  /// Waits that ended on the safety-net tick and then found progress (a
+  /// task, a steal, a posted job, a moved release epoch): lost wakeups.
+  std::uint64_t tick_rescues = 0;
 };
 
 /// Splits a traversal into per-subtree postorder node lists (indexed by
@@ -221,8 +231,9 @@ class NumericScheduler final : public FrontTeam {
 
   /// FrontTeam: runs the blocks on the calling worker, shared with any
   /// worker that holds no task right now (sleeping in next_task or on its
-  /// way there; every other worker busy: all inline). Returns only after
-  /// every helper that joined has left the job.
+  /// way there, or waiting for memory; every other worker busy: all
+  /// inline). Returns only after every helper that joined has left the
+  /// job.
   void for_each(std::size_t n,
                 const std::function<void(std::size_t)>& body) override;
 
@@ -245,9 +256,17 @@ class NumericScheduler final : public FrontTeam {
   /// Lock-free mirror of the coordinator's reservation ledger.
   void add_ooc_charge(index_t w, count_t delta);
 
-  /// True when `need` doubles fit under the OOC budget right now
-  /// (relaxed snapshot; advisory only).
-  bool would_admit_now(count_t need) const;
+  /// The OOC memory wait (OocSchedHooks::wait) of worker w, which holds
+  /// a dispatched task but no memory yet: until a release epoch past
+  /// `seen` is reported through memory_released, or the run fails, the
+  /// worker helps any posted trailing update and otherwise sleeps. While
+  /// here it counts as holding no task, so owners post jobs to it.
+  /// Returns the seconds spent running blocks.
+  double wait_for_memory(unsigned w, std::uint64_t seen);
+
+  /// OocSchedHooks::released: the coordinator's release `epoch` happened;
+  /// wakes every memory waiter.
+  void memory_released(std::uint64_t epoch);
 
   const SchedStats& stats() const { return stats_; }
   const char* policy_name() const { return policy_->name(); }
@@ -274,8 +293,18 @@ class NumericScheduler final : public FrontTeam {
     std::exception_ptr error;          ///< first helper failure (under mu_)
 
     /// Claims and runs blocks until none are left or one threw; returns
-    /// the exception, if any, and counts the blocks run in `done`.
-    std::exception_ptr run(bool helper, std::uint64_t& done);
+    /// the exception, if any, and counts the blocks run in `done`. A
+    /// helper names its fault site (the owner passes nullptr).
+    std::exception_ptr run(const char* fault_site, std::uint64_t& done);
+  };
+
+  /// A worker's own condition variable, and whether a notifier woke it
+  /// (a wait that ends with woken still false ended on the tick).
+  struct Sleeper {
+    enum class Kind : unsigned char { kAwake, kTask, kMemory };
+    std::condition_variable cv;
+    Kind kind = Kind::kAwake;
+    bool woken = false;
   };
 
   double now_locked() const;
@@ -288,7 +317,11 @@ class NumericScheduler final : public FrontTeam {
   Task take_at_locked(unsigned w, std::size_t pos);
   bool try_steal_locked(unsigned w, double now);
   bool try_adopt_locked(unsigned w);
-  bool help_locked(std::unique_lock<std::mutex>& lock);
+  bool help_locked(std::unique_lock<std::mutex>& lock, const char* fault_site,
+                   std::uint64_t& done);
+  bool sleep_locked(std::unique_lock<std::mutex>& lock, unsigned w,
+                    Sleeper::Kind kind);
+  std::size_t wake_locked(Sleeper::Kind kind, std::size_t max);
   void notify_one_locked();
   void notify_all_locked();
 
@@ -311,14 +344,17 @@ class NumericScheduler final : public FrontTeam {
   count_t steal_bound_ = 0;
 
   mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::vector<Sleeper> sleepers_;          ///< one per worker
   std::vector<std::vector<Task>> deques_;  ///< back = hottest
   std::vector<index_t> shared_ready_;      ///< static mode upper LIFO
   std::vector<char> started_;              ///< worker ever dispatched
   std::vector<index_t> deps_;  ///< upward: upper node -> open children
   std::size_t remaining_ = 0;
-  std::size_t waiting_ = 0;
-  std::size_t running_ = 0;  ///< workers holding a dispatched task
+  std::size_t waiting_ = 0;  ///< workers asleep in next_task
+  /// Workers holding a dispatched task, less those in the memory wait.
+  std::size_t running_ = 0;
+  /// Highest release epoch memory_released reported.
+  std::uint64_t released_epoch_ = 0;
   bool failed_ = false;
   /// Posted front updates still listed for helpers (owners' frames).
   std::vector<SharedJob*> jobs_;

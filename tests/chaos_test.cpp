@@ -17,11 +17,13 @@
 #include <vector>
 
 #include "memfront/core/experiment.hpp"
+#include "memfront/frontal/arena.hpp"
 #include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/solve.hpp"
 #include "memfront/sparse/problems.hpp"
 #include "memfront/support/fault.hpp"
 #include "memfront/support/status.hpp"
+#include "tree_shapes.hpp"
 
 #if MEMFRONT_FAULTS
 
@@ -225,6 +227,58 @@ TEST(ChaosHarness, HelperFailureInASharedFrontIsOneStructuredError) {
   const RunResult after = run_once(analysis, b, kWorkers);
   ASSERT_EQ(after.code, ErrorCode::kOk);
   expect_bitwise_identical(after, baseline, "post-failure rerun");
+}
+
+// The same under a budget, for a helper that joined from the memory
+// wait: at the predict_min_ooc_budget floor the dense block fronts each
+// need almost the whole budget, so the workers holding the others wait
+// for memory inside begin_node and help the running front. With the
+// memory-wait helper fault site firing on every block, the run ends in
+// exactly one structured error (the helper's), nobody hangs in the
+// admission wait, and the next fault-free budgeted run is bit-identical
+// to the in-core baseline.
+TEST(ChaosHarness, MemoryWaitHelperFailureInASharedFrontIsOneStructuredError) {
+  AnalysisOptions opt;
+  opt.ordering = OrderingKind::kNatural;
+  const Analysis analysis = analyze(dense_block_matrix(6, 448, 64), opt);
+  const Factorization baseline = numeric_factorize(analysis);
+  constexpr unsigned kWorkers = 4;
+  const auto budgeted = [&](std::uint64_t seed) {
+    ParallelNumericOptions popt;
+    popt.nthreads = kWorkers;
+    popt.nprocs = kWorkers;
+    popt.sched.steal = (seed % 2 == 0);
+    popt.sched.policy =
+        (seed % 4 < 2) ? RealPolicy::kWorkload : RealPolicy::kMemory;
+    popt.ooc.enabled = true;
+    popt.ooc.budget_doubles =
+        predict_min_ooc_budget(analysis.tree, analysis.traversal);
+    return popt;
+  };
+
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {  // every sched mode
+    const std::string label = "sched seed " + std::to_string(seed);
+    fault::ScopedPlan scoped(
+        {.seed = seed,
+         .period = 0,
+         .overrides = {{"worker.memory_help_exception", 1}}});
+    try {
+      (void)parallel_numeric_factorize(analysis, budgeted(seed));
+      ADD_FAILURE() << label << ": no memory waiter ever joined a front";
+    } catch (const SolverError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kWorkerFailure) << label;
+      EXPECT_NE(std::string(e.what()).find("helper failure"),
+                std::string::npos)
+          << label << ": surfaced error is not the helper's: " << e.what();
+    }
+    EXPECT_GT(fault::Registry::global().injected_count(), 0) << label;
+  }
+  RunResult after;
+  after.fact = parallel_numeric_factorize(analysis, budgeted(0));
+  ensure_factors_resident(after.fact);
+  RunResult base;
+  base.fact = baseline;
+  expect_bitwise_identical(after, base, "post-failure budgeted rerun");
 }
 
 // The OOC simulator under disk chaos: every seeded schedule either

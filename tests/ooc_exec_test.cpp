@@ -3,15 +3,19 @@
 // in-core ones while the charged footprint (resident CBs + live fronts
 // + in-flight spill writes) never exceeds the budget — checked at
 // 0.8x of the in-core arena peak on the largest Table-1 problem
-// (PRE2), serially and at 2/4/8 workers, in both I/O disciplines.
+// (PRE2), serially and at 2/4/8 workers, in both I/O disciplines, and
+// at the minimum budget on 3 workers, where the dead CB files are
+// discarded before the final flush.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "memfront/frontal/arena.hpp"
 #include "memfront/obs/metrics.hpp"
+#include "memfront/ooc/coordinator.hpp"
 #include "memfront/solver/numeric_factor.hpp"
 #include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/solve.hpp"
@@ -159,6 +163,57 @@ INSTANTIATE_TEST_SUITE_P(BudgetSweep, OocExecWorkers,
                            return std::string("w") +
                                   std::to_string(info.param);
                          });
+
+TEST(OocExec, ThreeWorkersAtTheFloorDiscardTheCbFilesAndOverlapIo) {
+  Pre2Fixture& f = pre2();
+  const count_t floor =
+      predict_min_ooc_budget(f.analysis.tree, f.analysis.traversal);
+  constexpr unsigned kWorkers = 3;
+  ParallelNumericOptions opt;
+  opt.nthreads = kWorkers;
+  opt.nprocs = 8;
+  opt.sched.policy = RealPolicy::kMemory;
+  opt.ooc = budgeted(floor);
+  ParallelNumericStats ps;
+  const Factorization fact = parallel_numeric_factorize(f.analysis, opt, &ps);
+  const OocExecStats& st = fact.stats.ooc;
+  EXPECT_LE(st.charged_peak_doubles, floor);
+  EXPECT_EQ(st.overrun_peak_doubles, 0);
+  EXPECT_GT(st.spill_events, 0);
+  EXPECT_EQ(ps.sched.tick_rescues, 0u) << "a memory waiter missed a release";
+
+  // Two files per worker: CB blocks in files [0, 3), all dead and
+  // discarded; factor panels in files [3, 6), which hold every byte the
+  // solve reloads.
+  ASSERT_NE(fact.ooc_factors, nullptr);
+  const SpillStore& store = *fact.ooc_factors->store;
+  ASSERT_EQ(store.num_files(), 2 * static_cast<index_t>(kWorkers));
+  std::uintmax_t factor_file_bytes = 0;
+  for (index_t w = 0; w < static_cast<index_t>(kWorkers); ++w) {
+    EXPECT_EQ(std::filesystem::file_size(store.file_path(w)), 0u)
+        << "CB file of worker " << w;
+    factor_file_bytes += std::filesystem::file_size(
+        store.file_path(static_cast<index_t>(kWorkers) + w));
+  }
+  EXPECT_GE(factor_file_bytes,
+            static_cast<std::uintmax_t>(st.factor_write_doubles) *
+                sizeof(double));
+
+  // Write-behind hid some of the I/O thread's work from compute, and
+  // never more than all of it.
+  const SpillStoreStats ss = store.stats();
+  EXPECT_GT(st.overlap_seconds, 0.0);
+  EXPECT_LE(st.overlap_seconds, ss.write_busy_seconds);
+
+  // The factors reload straight into their storage, to the in-core bits
+  // and the in-core solution.
+  expect_factors_bitwise_identical(fact, f.incore, "3 workers at the floor");
+  SolveOptions sopt;
+  sopt.nthreads = kWorkers;
+  sopt.nprocs = 8;
+  EXPECT_TRUE(bitwise_equal(
+      solve_factorized_multi(f.analysis, fact, f.b, 1, sopt), f.x_incore));
+}
 
 TEST(OocExec, SynchronousModeMatchesWriteBehindBitForBit) {
   Pre2Fixture& f = pre2();

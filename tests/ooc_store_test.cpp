@@ -1,19 +1,23 @@
 // The real spill store: block roundtrips in both I/O disciplines, the
-// bounded write-behind buffer, landing callbacks, prefetch, and — the
-// heart of the robustness contract — the torn-file corpus: every way a
-// spill file can come back wrong (truncated, torn header, corrupted
-// payload) surfaces as a structured kIoError carrying file/offset/node
-// context, never a silent wrong answer.
+// bounded write-behind buffer, landing callbacks, prefetch, the payload
+// checksum, discarding dead files, and — the heart of the robustness
+// contract — the torn-file corpus: every way a spill file can come back
+// wrong (truncated, torn header, corrupted payload) surfaces as a
+// structured kIoError carrying file/offset/node context, never a silent
+// wrong answer.
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <numeric>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "memfront/ooc/store.hpp"
@@ -144,6 +148,119 @@ TEST(SpillStore, ReadOfADroppedBlockIsAStructuredError) {
     EXPECT_EQ(e.code(), ErrorCode::kIoError);
     EXPECT_EQ(e.context().node, 2);
   }
+}
+
+// ---- the payload checksum --------------------------------------------------
+
+std::vector<double> distinct_block(std::size_t count) {
+  std::vector<double> v(count);
+  for (std::size_t i = 0; i < count; ++i)
+    v[i] = 1.0 + 0.37 * static_cast<double>(i) -
+           1e-3 * static_cast<double>(i * i);
+  return v;
+}
+
+TEST(SpillChecksum, EverySingleBitFlipChangesIt) {
+  // Lengths 0-9 put the last doubles in every lane and every remainder;
+  // 1000 is a long block.
+  std::vector<std::size_t> lengths(10);
+  std::iota(lengths.begin(), lengths.end(), std::size_t{0});
+  lengths.push_back(1000);
+  for (std::size_t n : lengths) {
+    std::vector<double> v = distinct_block(n);
+    const std::uint64_t base = spill_checksum(v.data(), n);
+    // The length is folded in: a prefix never collides with the block.
+    if (n > 0) EXPECT_NE(spill_checksum(v.data(), n - 1), base) << "n=" << n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const double saved = v[i];
+      for (int bit = 0; bit < 64; ++bit) {
+        v[i] = std::bit_cast<double>(std::bit_cast<std::uint64_t>(saved) ^
+                                     (std::uint64_t{1} << bit));
+        ASSERT_NE(spill_checksum(v.data(), n), base)
+            << "n=" << n << " double " << i << " bit " << bit;
+      }
+      v[i] = saved;
+    }
+    EXPECT_EQ(spill_checksum(v.data(), n), base) << "n=" << n;
+  }
+}
+
+TEST(SpillChecksum, SwappingNeighboursChangesIt) {
+  for (std::size_t n : {2u, 3u, 4u, 5u, 8u, 9u, 1000u}) {
+    std::vector<double> v = distinct_block(n);
+    const std::uint64_t base = spill_checksum(v.data(), n);
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      std::swap(v[i], v[i + 1]);
+      EXPECT_NE(spill_checksum(v.data(), n), base)
+          << "n=" << n << " swap " << i << "," << i + 1;
+      std::swap(v[i], v[i + 1]);
+    }
+  }
+}
+
+// ---- discarding dead files -------------------------------------------------
+
+TEST(SpillStore, DiscardOfAFileWithALiveBlockIsAnInternalError) {
+  SpillStoreOptions opt;
+  opt.files = 2;
+  SpillStore store(opt);
+  const auto dead = store.append(0, 1, make_block(40, 1.0));
+  const auto live = store.append(0, 2, make_block(40, 2.0));
+  store.drop(dead);
+  EXPECT_THROW(store.discard(0), InternalError);
+  // The file is untouched: the live block still reads back.
+  EXPECT_EQ(store.read(live), make_block(40, 2.0));
+}
+
+TEST(SpillStore, ABlockDroppedWhileQueuedStaysDead) {
+  // The first landing holds the I/O thread, so the second block is
+  // still queued when it is dropped.
+  std::atomic<bool> release{false};
+  std::atomic<int> landings{0};
+  SpillStoreOptions opt;
+  SpillStore store(opt, [&](SpillStore::BlockId, index_t, std::size_t,
+                            bool) {
+    if (landings++ == 0)
+      while (!release) std::this_thread::yield();
+  });
+  const auto first = store.append(0, 1, make_block(20, 1.0));
+  const auto queued = store.append(0, 2, make_block(20, 2.0));
+  while (landings == 0) std::this_thread::yield();
+  store.drop(queued);
+  store.drop(first);
+  release = true;
+  store.discard(0);  // no live block: the queued one died with its drop
+  store.set_landing({});  // barrier: no callback still in progress
+  EXPECT_EQ(landings.load(), 2);
+  EXPECT_EQ(store.stats().blocks_written, 1);  // its write was skipped
+  EXPECT_THROW(store.read(queued), SolverError);
+}
+
+TEST(SpillStore, DiscardTruncatesTheFileAndSparesTheOthers) {
+  SpillStoreOptions opt;
+  opt.files = 3;
+  SpillStore store(opt);
+  const auto a = make_block(300, 1.0);
+  const auto b = make_block(70, -5.0);
+  const auto c = make_block(9, 42.0);
+  std::vector<SpillStore::BlockId> cb_ids;
+  for (int i = 0; i < 4; ++i) cb_ids.push_back(store.append(1, 10 + i, a));
+  const auto kept0 = store.append(0, 20, b);
+  const auto kept2 = store.write_now(2, 21, c.data(), c.size());
+  // One block dies while its write may still be queued: it stays dead.
+  for (SpillStore::BlockId id : cb_ids) store.drop(id);
+  store.discard(1);
+  EXPECT_EQ(std::filesystem::file_size(store.file_path(1)), 0u);
+  EXPECT_THROW(store.read(cb_ids.back()), SolverError);
+  EXPECT_EQ(store.read(kept0), b);
+  EXPECT_EQ(store.read(kept2), c);
+  // The discarded file starts over, and the final flush still fsyncs
+  // every file.
+  const auto again = store.append(1, 30, c);
+  store.flush();
+  EXPECT_EQ(store.read(again), c);
+  EXPECT_EQ(std::filesystem::file_size(store.file_path(1)),
+            sizeof(SpillBlockHeader) + c.size() * sizeof(double));
 }
 
 // ---- the torn-file corpus --------------------------------------------------
@@ -313,6 +430,24 @@ TEST(SpillStoreFaults, ShortWriteIsResumedNotAnError) {
   const auto a = make_block(80, 9.0);
   const auto id = store.append(0, 6, a);
   EXPECT_EQ(store.read(id), a);  // the tear resumed mid-frame
+}
+
+TEST(SpillStoreFaults, ShortWriteInsideTheHeaderIsResumed) {
+  // A 1-double frame is 56 bytes: the tear stops at byte 28, inside the
+  // header, and the resumed write starts mid-header.
+  static_assert(sizeof(SpillBlockHeader) > (sizeof(SpillBlockHeader) + 8) / 2);
+  fault::ScopedPlan plan({.seed = 0,
+                          .period = 0,
+                          .overrides = {{"store.short_write", 1}}});
+  for (bool write_behind : {false, true}) {
+    SpillStoreOptions opt;
+    opt.write_behind = write_behind;
+    SpillStore store(opt);
+    const std::vector<double> one{3.25};
+    const auto id = store.append(0, 6, one);
+    EXPECT_EQ(store.read(id), one) << "write_behind=" << write_behind;
+  }
+  EXPECT_GT(fault::Registry::global().injected_count(), 0);
 }
 
 TEST(SpillStoreFaults, EnospcIsImmediateNoRetries) {

@@ -17,10 +17,16 @@
 //     minimum out-of-core budget,
 //   - the downward direction (the backward solve sweep's), driven bare
 //     from threads: each task once, after its parent, one wakeup per
-//     readied task, on a chain, an arrowhead and a forest.
+//     readied task, on a chain, an arrowhead and a forest,
+//   - the OOC memory wait, driven bare from threads (the waiter joins a
+//     posted job, returns on a release past what it saw, returns on
+//     failure) and end to end at the minimum budget, where workers
+//     waiting for memory help the front that holds it,
+//   - no lost wakeups: every run here ends with zero tick rescues.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <thread>
 #include <vector>
@@ -406,6 +412,96 @@ TEST(Scheduler, DownwardRunsDispatchEachTaskOnceAfterItsParent) {
   const Analysis forest = natural_analysis(block_matrix(4, 150, 0));
   ASSERT_EQ(forest.tree.roots().size(), 4u);
   expect_downward_contract(forest, "forest");
+}
+
+TEST(Scheduler, MemoryWaiterJoinsJobsAndWakesOnReleaseAndFailure) {
+  const Analysis analysis = natural_analysis(chain_matrix(600));
+  const AssemblyTree& tree = analysis.tree;
+  constexpr unsigned kWorkers = 2;
+  const Subtrees subtrees = find_subtrees(tree, analysis.memory, kWorkers);
+  std::vector<std::vector<index_t>> subtree_nodes;
+  std::vector<index_t> upper_nodes;
+  split_subtree_nodes(subtrees, analysis.traversal, subtree_nodes,
+                      upper_nodes);
+  NumericScheduler sched(tree, subtrees, subtree_nodes, upper_nodes,
+                         fold_subtrees(subtrees, kWorkers), kWorkers,
+                         RealSchedOptions{}, 0);
+  // Worker 0 holds a task and waits for memory past release epoch 0.
+  NumericScheduler::Task task;
+  ASSERT_TRUE(sched.next_task(0, task));
+
+  // The waiter joins a posted job. This thread owns the job, and a
+  // block it claims does not finish until another thread ran one: only
+  // the waiter can.
+  const std::thread::id owner = std::this_thread::get_id();
+  std::atomic<int> helped{0};
+  std::atomic<bool> returned{false};
+  std::thread waiter([&] {
+    (void)sched.wait_for_memory(0, /*seen=*/0);
+    returned = true;
+  });
+  sched.for_each(2, [&](std::size_t) {
+    if (std::this_thread::get_id() != owner) {
+      ++helped;
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (helped == 0 && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  });
+  EXPECT_GT(helped.load(), 0) << "the memory waiter never joined the job";
+  // A release no later than what the waiter saw does not end its wait.
+  sched.memory_released(0);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(returned.load());
+  // The waiter returns once a later release is reported.
+  sched.memory_released(1);
+  waiter.join();
+  EXPECT_EQ(sched.stats().memory_wait_blocks,
+            static_cast<std::uint64_t>(helped.load()));
+  EXPECT_EQ(sched.stats().helper_blocks, sched.stats().memory_wait_blocks);
+
+  // A waiter whose release already happened returns at once.
+  (void)sched.wait_for_memory(0, /*seen=*/0);
+
+  // The waiter returns when the run fails.
+  std::thread failing([&] { (void)sched.wait_for_memory(0, /*seen=*/1); });
+  sched.fail();
+  failing.join();
+  EXPECT_EQ(sched.stats().tick_rescues, 0u);
+}
+
+TEST(Scheduler, MemoryWaitersHelpTheFrontThatHoldsTheBudget) {
+  // Five dense block fronts under a border root: at the floor each
+  // needs almost the whole budget, so they run one at a time, and the
+  // workers holding the others wait for memory inside begin_node. They
+  // help the running front's trailing updates instead of sleeping.
+  const Analysis analysis = natural_analysis(dense_block_matrix(6, 448, 64));
+  ASSERT_EQ(analysis.tree.num_nodes(), 6);
+  const Factorization serial = numeric_factorize(analysis);
+  const count_t budget =
+      predict_min_ooc_budget(analysis.tree, analysis.traversal);
+  for (unsigned nthreads : {3u, 4u}) {
+    const std::string label = "workers=" + std::to_string(nthreads);
+    ParallelNumericOptions popt;
+    popt.nthreads = nthreads;
+    popt.nprocs = nthreads;
+    popt.sched.policy = RealPolicy::kMemory;
+    popt.ooc.enabled = true;
+    popt.ooc.budget_doubles = budget;
+    ParallelNumericStats stats;
+    const Factorization fact =
+        parallel_numeric_factorize(analysis, popt, &stats);
+    ensure_factors_resident(fact);
+    expect_bitwise_equal(serial, fact, label);
+    EXPECT_LE(fact.stats.ooc.charged_peak_doubles, budget) << label;
+    EXPECT_EQ(fact.stats.ooc.overrun_peak_doubles, 0) << label;
+    EXPECT_GT(stats.sched.memory_wait_blocks, 0u) << label;
+    EXPECT_LE(stats.sched.memory_wait_blocks, stats.sched.helper_blocks)
+        << label;
+    EXPECT_EQ(stats.sched.tick_rescues, 0u) << label;
+  }
 }
 
 TEST(Scheduler, StealBoundHelpersAreConsistent) {
