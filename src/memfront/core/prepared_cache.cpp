@@ -125,7 +125,6 @@ struct FactorKey {
     std::uint64_t h = hash_mix(analysis.hash(),
                                static_cast<std::uint64_t>(0x082efa98ec4e6c89ULL));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.kernel));
-    h = hash_mix(h, static_cast<std::uint64_t>(numeric.reserve_arena));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.enabled));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.budget_doubles));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.io_mode));

@@ -2,97 +2,10 @@
 
 #include <algorithm>
 
-#include "memfront/obs/span_tracer.hpp"
 #include "memfront/ooc/config.hpp"
 #include "memfront/support/error.hpp"
-#include "memfront/support/fault.hpp"
-#include "memfront/support/status.hpp"
 
 namespace memfront {
-namespace {
-
-/// Slabs are at least this big (doubles), so tiny CBs never fragment.
-constexpr std::size_t kMinSlabDoubles = std::size_t{1} << 16;  // 512 KiB
-
-}  // namespace
-
-FrontalArena::FrontalArena(std::size_t reserve_doubles) {
-  if (reserve_doubles > 0) {
-    // Same failure surface as push()'s fresh-slab branch: the upfront
-    // reserve is a slab allocation too.
-    if (MEMFRONT_FAULT("arena.slab_alloc"))
-      throw SolverError(ErrorCode::kResourceExhausted,
-                        "injected arena slab allocation failure");
-    try {
-      slabs_.push_back({std::vector<double>(reserve_doubles), 0});
-    } catch (const std::bad_alloc&) {
-      throw SolverError(ErrorCode::kResourceExhausted,
-                        "FrontalArena: slab allocation failed (" +
-                            std::to_string(reserve_doubles) + " doubles)");
-    }
-    ++growths_;
-  }
-}
-
-double* FrontalArena::push(std::size_t count) {
-  if (count == 0) return nullptr;
-  if (slabs_.empty() ||
-      slabs_[top_].data.size() - slabs_[top_].used < count) {
-    std::size_t next = slabs_.empty() ? 0 : top_ + 1;
-    // A slab opened by an earlier deep spike may sit empty above us —
-    // reuse it when it fits, otherwise open a fresh one in its place.
-    if (next < slabs_.size() && slabs_[next].used == 0 &&
-        slabs_[next].data.size() >= count) {
-      top_ = next;
-    } else {
-      const std::size_t slab_doubles = std::max(count, kMinSlabDoubles);
-      // Fault site: slab allocation failure (the only allocation on the
-      // numeric hot path) surfaces as kResourceExhausted, not bad_alloc.
-      if (MEMFRONT_FAULT("arena.slab_alloc"))
-        throw SolverError(ErrorCode::kResourceExhausted,
-                          "injected arena slab allocation failure");
-      try {
-        slabs_.insert(slabs_.begin() + static_cast<std::ptrdiff_t>(next),
-                      {std::vector<double>(slab_doubles), 0});
-      } catch (const std::bad_alloc&) {
-        throw SolverError(ErrorCode::kResourceExhausted,
-                          "FrontalArena: slab allocation failed (" +
-                              std::to_string(slab_doubles) + " doubles)");
-      }
-      ++growths_;
-      top_ = next;
-      MEMFRONT_INSTANT("arena_slab",
-                       static_cast<std::int64_t>(slab_doubles));
-    }
-  }
-  Slab& slab = slabs_[top_];
-  double* p = slab.data.data() + slab.used;
-  slab.used += count;
-  stack_.push_back({top_, count});
-  in_use_ += count;
-  peak_ = std::max(peak_, in_use_);
-  return p;
-}
-
-void FrontalArena::pop(const double* p, std::size_t count) {
-  if (count == 0) return;
-  check(!stack_.empty(), "FrontalArena::pop: stack is empty");
-  const Allocation top = stack_.back();
-  Slab& slab = slabs_[top.slab];
-  check(top.count == count &&
-            slab.data.data() + slab.used - count == p,
-        "FrontalArena::pop: not the top allocation (LIFO discipline)");
-  slab.used -= count;
-  in_use_ -= count;
-  stack_.pop_back();
-  if (slab.used == 0 && top.slab == top_ && top_ > 0) --top_;
-}
-
-std::size_t FrontalArena::capacity() const noexcept {
-  std::size_t total = 0;
-  for (const Slab& slab : slabs_) total += slab.data.size();
-  return total;
-}
 
 count_t predict_arena_peak(const AssemblyTree& tree,
                            std::span<const index_t> traversal) {

@@ -1,73 +1,29 @@
-// Arena-backed storage for the multifrontal contribution-block stack.
+// Physical memory models of the multifrontal CB stack.
 //
 // The sequential factorization is a postorder walk, so contribution
 // blocks live in strict LIFO order: a node's children's CBs are the top
 // of the stack when the node assembles, and its own CB is pushed after
-// they pop. FrontalArena exploits that: allocation is a pointer bump into
-// chunked slabs (pointers stay stable across growth), deallocation is a
-// checked pop, and the high-water mark is tracked in *logical doubles* so
-// it can be compared against the analytical stack model.
-//
-// The current front itself lives in a separate scratch buffer (the
-// paper's third storage area); predict_arena_peak models both areas
-// together in physical full-square doubles — unlike tree_memory, which
-// counts model entries (triangular for symmetric problems) — so the
-// measured peak of a run must *equal* the prediction.
+// they pop. The real drivers keep every CB in the OocCoordinator's
+// ledger (in core is its unlimited budget) and the current front in a
+// separate scratch buffer (the paper's third storage area);
+// predict_arena_peak models both areas together in physical full-square
+// doubles — unlike tree_memory, which counts model entries (triangular
+// for symmetric problems) — so the serial in-core ledger peak must
+// *equal* the prediction. predict_min_ooc_budget is the floor below
+// which no budget can admit the traversal.
 #pragma once
 
-#include <cstddef>
 #include <span>
-#include <vector>
 
 #include "memfront/symbolic/assembly_tree.hpp"
 
 namespace memfront {
 
-class FrontalArena {
- public:
-  /// Optionally pre-sizes the first slab (e.g. to a predicted peak, so a
-  /// whole factorization runs without growth).
-  explicit FrontalArena(std::size_t reserve_doubles = 0);
-
-  /// Returns an uninitialized slot of `count` doubles on top of the
-  /// stack (nullptr when count == 0). Never invalidates earlier slots.
-  double* push(std::size_t count);
-
-  /// Releases the top slot; `p`/`count` must match the matching push
-  /// (LIFO discipline is checked).
-  void pop(const double* p, std::size_t count);
-
-  /// Live doubles / high-water mark of live doubles.
-  std::size_t in_use() const noexcept { return in_use_; }
-  std::size_t peak() const noexcept { return peak_; }
-  /// Total slab capacity in doubles and the number of slab allocations
-  /// (growths == 1 for a well-reserved arena).
-  std::size_t capacity() const noexcept;
-  std::size_t slab_allocations() const noexcept { return growths_; }
-
- private:
-  struct Slab {
-    std::vector<double> data;
-    std::size_t used = 0;
-  };
-  struct Allocation {
-    std::size_t slab = 0;
-    std::size_t count = 0;
-  };
-
-  std::vector<Slab> slabs_;
-  std::vector<Allocation> stack_;
-  std::size_t top_ = 0;  // slab currently receiving pushes
-  std::size_t in_use_ = 0;
-  std::size_t peak_ = 0;
-  std::size_t growths_ = 0;
-};
-
 /// Physical peak (doubles, full-square storage) of factorizing `traversal`
 /// with the CB stack + front-scratch discipline the numeric driver uses:
 /// at each node the front coexists first with the children's stacked CBs
 /// (assembly) and then with the node's own pushed CB (extraction copy).
-/// The driver's measured arena peak equals this exactly.
+/// The serial driver's in-core ledger peak equals this exactly.
 count_t predict_arena_peak(const AssemblyTree& tree,
                            std::span<const index_t> traversal);
 

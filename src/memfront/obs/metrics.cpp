@@ -216,7 +216,6 @@ void record_factor_stats(const FactorStats& stats) {
   m.counter("solver.factor.exact_zero_pivots").add(stats.exact_zero_pivots);
   m.float_gauge("solver.factor.pivot_growth_max")
       .max_of(stats.pivot_growth_max);
-  m.counter("solver.factor.arena_slabs").add(stats.arena_slabs);
   m.gauge("solver.factor.stack_peak_entries")
       .max_of(stats.measured_stack_peak);
   m.gauge("solver.factor.stack_peak_bytes")
@@ -234,10 +233,6 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
   m.counter("solver.parallel.subtree_tasks").add(stats.num_subtrees);
   m.counter("solver.parallel.upper_tasks").add(stats.num_upper_nodes);
   m.gauge("solver.parallel.workers").set(stats.workers);
-  m.gauge("solver.parallel.max_arena_peak_doubles")
-      .max_of(stats.max_arena_peak_doubles);
-  m.gauge("solver.parallel.max_arena_peak_bytes")
-      .max_of(doubles_to_bytes(stats.max_arena_peak_doubles));
   m.gauge("solver.parallel.total_arena_peak_doubles")
       .max_of(stats.total_arena_peak_doubles);
   m.gauge("solver.parallel.total_arena_peak_bytes")
@@ -278,8 +273,6 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
       .add(static_cast<std::int64_t>(stats.sched.tick_rescues));
   m.gauge("solver.sched.max_queue_depth")
       .max_of(static_cast<std::int64_t>(stats.sched.max_queue_depth));
-  m.gauge("solver.sched.steal_arena_bound_doubles")
-      .max_of(stats.steal_arena_bound_doubles);
 }
 
 void record_sim_result(const ParallelResult& result, double wall_seconds) {
@@ -379,6 +372,8 @@ void record_ooc_exec_stats(const OocExecStats& stats) {
   m.counter("solver.ooc.policy_admissions").add(stats.policy_admissions);
   m.counter("solver.ooc.policy_stall_ns")
       .add(seconds_to_ns(stats.policy_stall_seconds));
+  m.counter("solver.ooc.admission_tick_rescues")
+      .add(stats.admission_tick_rescues);
 }
 
 void record_process_metrics() {

@@ -172,9 +172,10 @@ class MetricsRegistry {
 
 // ---- unit normalization ----------------------------------------------------
 //
-// The layers report memory in mixed units: the frontal arena in doubles
-// of full-square storage, the simulator in model entries, getrusage in
-// kilobytes. At the metrics boundary everything gains a `_bytes` twin.
+// The layers report memory in mixed units: the numeric ledger in
+// doubles of full-square storage, the simulator in model entries,
+// getrusage in kilobytes. At the metrics boundary everything gains a
+// `_bytes` twin.
 
 constexpr std::int64_t doubles_to_bytes(count_t doubles) noexcept {
   return static_cast<std::int64_t>(doubles) *

@@ -81,12 +81,17 @@ constexpr index_t ooc_cb_panel_cols(index_t n) noexcept {
 /// as opposed to the OocConfig the *simulator* models). The budget is a
 /// hard admission gate over everything the factorization holds beyond
 /// the factor storage: resident contribution blocks, the live fronts,
-/// and the spill store's in-flight write buffer.
+/// and the spill store's in-flight write buffer. Every real
+/// factorization runs on the same ledger; disabled means in core, an
+/// unlimited budget with no spill store.
 struct OocExecConfig {
+  /// Open the spill store and enforce budget_doubles. Off = in core:
+  /// the budget is unlimited whatever budget_doubles holds.
   bool enabled = false;
   /// Hard budget in doubles of full-square storage (the unit of
   /// predict_arena_peak). 0 = unlimited: factors still stream to disk
-  /// when spill_factors is set, but nothing spills or stalls.
+  /// when spill_factors is set, but nothing spills or stalls, and no
+  /// streaming window is reserved.
   count_t budget_doubles = 0;
   /// How spill/factor writes interact with compute — the same split the
   /// simulator studies. kAdmissionDrain behaves like kWriteBehind here
@@ -142,6 +147,10 @@ struct OocExecStats {
   /// when no scheduler hooks are installed (numeric_factor).
   index_t policy_admissions = 0;
   double policy_stall_seconds = 0;
+  /// Admission waits on the coordinator's own condition variable (the
+  /// serial driver) that ended on the safety-net tick and then found
+  /// the release epoch moved: lost wakeups. Zero on a healthy run.
+  index_t admission_tick_rescues = 0;
 };
 
 }  // namespace memfront

@@ -12,6 +12,7 @@
 #include "memfront/solver/front_task.hpp"
 #include "memfront/solver/numeric_factor.hpp"
 #include "memfront/support/error.hpp"
+#include "memfront/support/fault.hpp"
 #include "memfront/support/status.hpp"
 
 namespace memfront {
@@ -27,8 +28,30 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 
 /// Safety-net wait quantum of the coordinator's own sleepers (the serial
 /// driver): every sleeper re-examines the world at least this often, so
-/// a missed notify can delay but never wedge.
+/// a missed notify can delay but never wedge. A wait it ends that then
+/// finds a release counts as an admission tick rescue.
 constexpr auto kAdmissionTick = std::chrono::milliseconds(100);
+
+/// A CB's storage. Fault site and real allocation failure alike surface
+/// as kResourceExhausted naming the node, never as a raw bad_alloc.
+std::vector<double> allocate_cb(index_t node, count_t doubles) {
+  if (MEMFRONT_FAULT("coordinator.cb_alloc", node))
+    throw SolverError(ErrorCode::kResourceExhausted,
+                      "injected CB allocation failure",
+                      std::source_location::current(),
+                      ErrorContext{.node = node, .input_line = -1,
+                                   .detail = {}});
+  try {
+    return std::vector<double>(static_cast<std::size_t>(doubles));
+  } catch (const std::bad_alloc&) {
+    throw SolverError(ErrorCode::kResourceExhausted,
+                      "ooc: CB allocation failed",
+                      std::source_location::current(),
+                      ErrorContext{.node = node, .input_line = -1,
+                                   .detail = std::to_string(doubles) +
+                                             " doubles"});
+  }
+}
 
 }  // namespace
 
@@ -37,7 +60,12 @@ OocCoordinator::OocCoordinator(const OocExecConfig& config,
     : tree_(tree),
       config_(config),
       workers_(std::max<index_t>(1, workers)),
-      budget_(config.budget_doubles) {
+      budget_(config.enabled ? config.budget_doubles : 0) {
+  cbs_.resize(sz(tree.num_nodes()));
+  stats_.budget_doubles = budget_;
+  // In core is the unlimited budget with nothing on disk: no store, no
+  // files, no I/O thread.
+  if (!config.enabled) return;
   write_behind_ = config.io_mode != OocIoMode::kSynchronous;
   SpillStoreOptions sopts;
   sopts.dir = config.spill_dir;
@@ -50,17 +78,16 @@ OocCoordinator::OocCoordinator(const OocExecConfig& config,
   store_ = std::make_shared<SpillStore>(
       sopts, [this](SpillStore::BlockId id, index_t node, std::size_t bytes,
                     bool ok) { on_landing(id, node, bytes, ok); });
+  if (!config.spill_factors) return;
   factors_ = std::make_shared<OocFactorState>();
   factors_->store = store_;
   factors_->nodes.resize(sz(tree.num_nodes()));
-  cbs_.resize(sz(tree.num_nodes()));
-  stats_.budget_doubles = budget_;
 }
 
 OocCoordinator::~OocCoordinator() {
   // Landings re-enter this object: silence them before the members die
   // (the store itself may outlive us through the factor-state handle).
-  store_->set_landing({});
+  if (store_) store_->set_landing({});
 }
 
 void OocCoordinator::charge_locked(count_t doubles) {
@@ -122,8 +149,11 @@ std::vector<SpillStore::BlockId> OocCoordinator::append_cb_blocks(
 /// one panel of its own CB (the streamed extraction buffer), whichever
 /// is larger. Every in-window allocation of the node's processing fits
 /// inside it, so a worker that begins a node never waits for memory
-/// again until end_node — the deadlock-freedom invariant.
+/// again until end_node — the deadlock-freedom invariant. An unlimited
+/// budget never streams, so it reserves nothing beyond the front: the
+/// ledger then charges exactly the in-core stack discipline.
 count_t OocCoordinator::reserve_doubles(index_t node) const {
+  if (budget_ <= 0) return 0;
   const auto panel_window = [](index_t n) {
     return static_cast<count_t>(ooc_cb_panel_cols(n)) *
            static_cast<count_t>(n);
@@ -227,7 +257,10 @@ bool OocCoordinator::try_admit_locked(std::unique_lock<std::mutex>& lock,
         helped = sched_hooks_.wait(worker, seen);
         lock.lock();
       } else {
-        cv_.wait_for(lock, kAdmissionTick);
+        const std::uint64_t seen = release_epoch_;
+        if (cv_.wait_for(lock, kAdmissionTick) == std::cv_status::timeout &&
+            release_epoch_ != seen)
+          ++stats_.admission_tick_rescues;
       }
       if (io_bound) store_->io_wait_end();
       stats_.stall_seconds += seconds_since(t0) - helped;
@@ -422,18 +455,19 @@ void OocCoordinator::store_cb(index_t node, index_t worker, FrontView front,
     // memory, or concurrent admissions could deadlock collectively.
     if (try_admit_locked(lock, d, node, worker, /*may_wait=*/false)) {
       // The extraction window: the children are consumed, only the
-      // front is still charged for this node. Pinned during the copy,
-      // a spill candidate right after.
+      // front is still charged for this node. Pinned while its storage
+      // is allocated and filled outside the lock, a spill candidate
+      // right after.
       Cb& rcb = cbs_[sz(node)];
-      rcb.data.resize(static_cast<std::size_t>(d));
       rcb.doubles = static_cast<std::size_t>(d);
       rcb.state = CbState::kResident;
       rcb.pins = 1;
       residency_.push_back(node);
-      double* out = rcb.data.data();
       lock.unlock();
-      numeric_detail::extract_cb(front, npiv, out);
+      std::vector<double> data = allocate_cb(node, d);
+      numeric_detail::extract_cb(front, npiv, data.data());
       lock.lock();
+      cbs_[sz(node)].data = std::move(data);
       cbs_[sz(node)].pins = 0;  // now a spill candidate
       const std::uint64_t epoch = note_release_locked();
       lock.unlock();
@@ -492,7 +526,7 @@ void OocCoordinator::end_node(index_t node, NodeFactor& nf, index_t worker) {
   }
   released(epoch);
 
-  if (config_.spill_factors) {
+  if (factors_) {
     auto& slot = factors_->nodes[sz(node)];
     const auto submit = [&](std::vector<double>& part,
                             SpillStore::BlockId& block_out,
@@ -556,7 +590,7 @@ void OocCoordinator::cancel() {
 }
 
 OocExecStats OocCoordinator::finish() {
-  {
+  if (store_) {
     // The final drain: its waits are already measured by the store as
     // flush_wait_seconds, folded into the stall below. Every CB block
     // was reloaded and dropped by its parent, so the CB files are
@@ -569,6 +603,7 @@ OocExecStats OocCoordinator::finish() {
   check(charged_ == 0, "ooc: charged ledger not empty after factorization");
   check(inflight_ == 0, "ooc: in-flight writes left after the final drain");
   check(residency_.empty(), "ooc: resident CBs left after factorization");
+  if (!store_) return stats_;  // in core: the ledger only
 
   const SpillStoreStats ss = store_->stats();
   stats_.io_retries = static_cast<index_t>(ss.io_retries);

@@ -1,9 +1,10 @@
-// Budget admission and contribution-block residency of the real
-// out-of-core execution mode.
+// Budget admission and contribution-block residency of every real
+// factorization.
 //
-// One OocCoordinator serves every worker of a factorization. It owns
-// the global charged-bytes ledger (resident CBs + live fronts +
-// in-flight writes), the CB state machine
+// One OocCoordinator serves every worker of a factorization, in core
+// and out of core alike: in core is the unlimited budget. It owns the
+// global charged-bytes ledger (resident CBs + live fronts + in-flight
+// writes), the CB state machine
 //
 //     (none) -> kResident -> kInFlight -> kOnDisk -> kResident -> ...
 //                   \______________ freed when the parent consumed it
@@ -21,8 +22,8 @@
 // live front when it cannot fit. A node's coexistence window is
 // therefore its front plus at most one whole CB — one *panel* under
 // pressure — far below the in-core LIFO peak (front + all children
-// stacked), which is what lets budgets smaller than the in-core arena
-// peak run to completion. predict_min_ooc_budget is exactly the
+// stacked), which is what lets budgets smaller than the in-core peak
+// run to completion. predict_min_ooc_budget is exactly the
 // reserved window maximized over the tree. When an admission does not
 // fit, it evicts unpinned resident CBs through choose_spill_victims —
 // the simulator's victim selection, unchanged. Only begin_node, whose
@@ -37,6 +38,14 @@
 // declares the budget infeasible (structured kResourceExhausted, or a
 // recorded overrun under allow_overrun) only when nothing is
 // spillable, nothing is in flight, and no worker is mid-node.
+//
+// In core (config.enabled false, whatever budget_doubles holds) the
+// budget is unlimited: nothing spills or streams, so begin_node
+// reserves no window beyond the front and the ledger charges exactly
+// the LIFO discipline (the serial peak equals predict_arena_peak). No
+// SpillStore, file or I/O thread exists, and the drivers install no
+// scheduler hooks. An enabled run at budget 0 is unlimited too, but
+// still streams its factor panels to disk.
 //
 // Spill files: the store holds two files per worker, one per block
 // lifetime. File w takes worker w's CB blocks (evictions and streamed
@@ -140,11 +149,10 @@ class OocCoordinator {
   /// extend_add_mapped map) and releases it. A resident child scatters
   /// in place; a spilled one streams back block by block, the single
   /// panel buffer covered by the node's reservation. `next` — the
-  /// sibling consumed
-  /// after this one, or kNone — chains the read-ahead so its first
-  /// block loads behind the current scatter. The drivers call this
-  /// from a ChildStream in the tree's child order: bit-identical to
-  /// the in-core assembly.
+  /// sibling consumed after this one, or kNone — chains the read-ahead
+  /// so its first block loads behind the current scatter.
+  /// numeric_detail::factor_node calls this in the tree's child order,
+  /// so where a CB lived never changes the assembled bits.
   void assemble_child(index_t child, index_t worker, index_t next,
                       FrontView front, std::span<const index_t> positions);
 
@@ -154,7 +162,9 @@ class OocCoordinator {
   /// written to disk synchronously one column panel at a time straight
   /// from the live front (the CB is born spilled; the panel buffer
   /// rides the reservation). Call after the children were consumed —
-  /// the extraction window of the LIFO discipline.
+  /// the extraction window of the LIFO discipline. A failed allocation
+  /// of the resident copy (fault site `coordinator.cb_alloc`, keyed on
+  /// the node, or a real bad_alloc) throws kResourceExhausted.
   void store_cb(index_t node, index_t worker, FrontView front, index_t npiv);
 
   /// Releases the node's reservation and streams the finished factor
@@ -170,10 +180,12 @@ class OocCoordinator {
   void cancel();
 
   /// Drains in-flight writes, verifies the ledger is empty, folds the
-  /// store's counters and reports the obs metrics. Call once, after
-  /// the last end_node.
+  /// store's counters and reports the obs metrics (out of core only).
+  /// Call once, after the last end_node.
   OocExecStats finish();
 
+  /// Where the factor panels went; null unless config.enabled and
+  /// spill_factors are both set.
   std::shared_ptr<OocFactorState> factor_state() const { return factors_; }
   count_t budget_doubles() const { return budget_; }
 

@@ -5,34 +5,20 @@
 #include <cmath>
 #include <limits>
 
-#include "memfront/frontal/extend_add.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
+#include "memfront/ooc/coordinator.hpp"
 #include "memfront/support/error.hpp"
 #include "memfront/support/fault.hpp"
 #include "memfront/support/status.hpp"
 
 namespace memfront::numeric_detail {
+namespace {
 
-FrontResult process_front(const FrontContext& ctx, index_t i,
-                          std::span<const double* const> child_cbs,
-                          FrontWorkspace& ws, FrontView front, NodeFactor& out,
-                          std::vector<index_t>& row_of) {
-  check(ctx.tree->children(i).size() == child_cbs.size(),
-        "process_front: child CB count mismatch");
-  // The in-core drivers already hold every child CB: a trivial stream.
-  return process_front(
-      ctx, i,
-      ChildStream{[&](std::size_t c, FrontView f,
-                      std::span<const index_t> positions) {
-        const index_t ncb = static_cast<index_t>(positions.size());
-        extend_add_mapped(f, child_cbs[c], ncb, ncb, positions);
-      }},
-      ws, front, out, row_of);
-}
-
-FrontResult process_front(const FrontContext& ctx, index_t i,
-                          const ChildStream& stream, FrontWorkspace& ws,
+/// Assembles, factors and extracts node i into `front` (admitted by the
+/// caller); the children come from the coordinator.
+FrontResult process_front(const FrontContext& ctx, index_t i, index_t worker,
+                          OocCoordinator& coord, FrontWorkspace& ws,
                           FrontView front, NodeFactor& out,
                           std::vector<index_t>& row_of) {
   MEMFRONT_SPAN("factor_front", i);
@@ -45,7 +31,6 @@ FrontResult process_front(const FrontContext& ctx, index_t i,
   const index_t npiv = tree.npiv(i);
   const index_t fc = tree.first_col(i);
   const auto rows = ctx.structure->rows(i);
-  check(front.n == nfront, "process_front: front size mismatch");
 
   for (index_t r = 0; r < nfront; ++r)
     ws.local[static_cast<std::size_t>(rows[r])] = r;
@@ -82,8 +67,9 @@ FrontResult process_front(const FrontContext& ctx, index_t i,
   }
 
   // Extend-add the children through the local map (O(ncb) per child, no
-  // index search), in the tree's child order. The stream owns each
-  // child's storage for exactly the duration of its own scatter.
+  // index search), in the tree's child order. The coordinator frees each
+  // child's CB right after its own scatter, and chains the read-ahead of
+  // a spilled next sibling behind it.
   const auto children = tree.children(i);
   {
     MEMFRONT_SPAN("extend_add", i);
@@ -96,7 +82,10 @@ FrontResult process_front(const FrontContext& ctx, index_t i,
         ws.positions[static_cast<std::size_t>(k)] =
             ws.local[static_cast<std::size_t>(
                 child_rows[static_cast<std::size_t>(tree.npiv(child) + k)])];
-      stream.assemble(c, front, ws.positions);
+      coord.assemble_child(
+          child, worker,
+          c + 1 < children.size() ? children[c + 1] : kNone, front,
+          ws.positions);
     }
   }
 
@@ -167,6 +156,20 @@ FrontResult process_front(const FrontContext& ctx, index_t i,
   }
   return FrontResult{pf.perturbations, pf.exact_zero_pivots,
                      pf.max_pivot_abs};
+}
+
+}  // namespace
+
+FrontResult factor_node(const FrontContext& ctx, index_t i, index_t worker,
+                        OocCoordinator& coord, FrontWorkspace& ws,
+                        NodeFactor& out, std::vector<index_t>& row_of) {
+  coord.begin_node(i, worker);
+  const FrontView front = ws.acquire_front(ctx.tree->nfront(i));
+  const FrontResult fr =
+      process_front(ctx, i, worker, coord, ws, front, out, row_of);
+  coord.store_cb(i, worker, front, ctx.tree->npiv(i));  // no-op without a CB
+  coord.end_node(i, out, worker);
+  return fr;
 }
 
 void extract_cb(FrontView front, index_t npiv, double* cb_out) {

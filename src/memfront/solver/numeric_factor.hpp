@@ -1,12 +1,13 @@
-// Numeric multifrontal factorization (sequential, in-core).
+// Numeric multifrontal factorization (sequential).
 //
 // Follows the analysis traversal with the paper's three storage areas —
-// factors / CB stack / current front — where the CB stack is an
-// arena-backed LIFO (frontal/arena.hpp), the front is a reused scratch
-// buffer, and the elimination runs the blocked kernels of
-// frontal/kernels.hpp. Two peaks are measured: the model-entry stack
-// peak (compared against the analysis prediction, tree_memory) and the
-// physical arena peak in doubles (compared against predict_arena_peak).
+// factors / CB stack / current front — where every contribution block
+// lives in the OocCoordinator's ledger (in core is its unlimited
+// budget), the front is a reused scratch buffer, and the elimination
+// runs the blocked kernels of frontal/kernels.hpp. Two peaks are
+// measured: the model-entry stack peak (compared against the analysis
+// prediction, tree_memory) and the ledger's physical peak in doubles
+// (in core, checked equal to predict_arena_peak).
 #pragma once
 
 #include <memory>
@@ -27,13 +28,10 @@ enum class FrontalKernel : unsigned char { kBlocked, kReference };
 
 struct NumericOptions {
   FrontalKernel kernel = FrontalKernel::kBlocked;
-  /// Pre-size the CB arena to the predicted physical peak so the whole
-  /// factorization runs in one slab.
-  bool reserve_arena = true;
   /// Real out-of-core execution: when ooc.enabled, the CB stack and the
   /// live front run under ooc.budget_doubles, spilling to disk through
   /// the OocCoordinator. The result is bit-identical to the in-core
-  /// driver; factor panels stream to disk and reload at solve time.
+  /// run; factor panels stream to disk and reload at solve time.
   OocExecConfig ooc{};
 
   friend bool operator==(const NumericOptions&,
@@ -60,15 +58,13 @@ struct FactorStats {
   /// accuracy loss that iterative refinement (SolveOptions::refine)
   /// exists to recover.
   double pivot_growth_max = 0.0;
-  /// Physical high-water mark of the CB arena plus the live front, in
-  /// doubles of full-square storage. For the sequential driver this
-  /// equals predict_arena_peak(tree, traversal) exactly.
+  /// High-water mark of the coordinator's ledger — stacked CBs plus
+  /// live fronts (plus in-flight writes under ooc.enabled) — in doubles
+  /// of full-square storage. In core the sequential driver checks it
+  /// equals predict_arena_peak(tree, traversal) exactly; under a budget
+  /// it is ooc.charged_peak_doubles.
   count_t arena_peak_doubles = 0;
-  /// Slab allocations the arena performed (1 when the reserve fit).
-  count_t arena_slabs = 0;
-  /// Real out-of-core accounting (all zero for in-core runs). For OOC
-  /// runs arena_peak_doubles holds the budget ledger's high-water mark
-  /// (ooc.charged_peak_doubles) instead of the arena measurement.
+  /// Real out-of-core accounting (all zero for in-core runs).
   OocExecStats ooc{};
 };
 

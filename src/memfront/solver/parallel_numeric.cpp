@@ -7,7 +7,6 @@
 #include <optional>
 #include <string>
 
-#include "memfront/frontal/arena.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
 #include "memfront/ooc/coordinator.hpp"
@@ -25,11 +24,12 @@ using numeric_detail::FrontContext;
 using numeric_detail::FrontWorkspace;
 
 /// Everything the worker tasks share. Synchronization discipline: a
-/// node's CB (cb_heap) and factor slots are written by exactly one task
-/// and only read by its parent's task, which is ordered after it through
-/// the scheduler mutex (the completion's dependency decrement
-/// happens-before the parent's dispatch). The mutex here only guards the
-/// statistics accumulators and the error slot.
+/// node's CB lives in the coordinator and its factor slots are written
+/// by exactly one task and only read by its parent's task, which is
+/// ordered after it through the scheduler mutex (the completion's
+/// dependency decrement happens-before the parent's dispatch). The
+/// mutex here only guards the statistics accumulators and the error
+/// slot.
 struct Runtime {
   const Analysis* analysis = nullptr;
   FrontContext ctx;
@@ -42,6 +42,8 @@ struct Runtime {
 
   /// The dynamic task source: dispatch, stealing, admission, wakeups.
   NumericScheduler* sched = nullptr;
+  /// The shared ledger every CB lives in (unlimited in core).
+  OocCoordinator* coord = nullptr;
 
   // Statistics and the first error (guarded by mu).
   std::mutex mu;
@@ -50,20 +52,30 @@ struct Runtime {
   index_t perturbations = 0;
   index_t exact_zero_pivots = 0;
   double max_pivot_abs = 0.0;
-  count_t max_arena_peak = 0;
-  count_t total_arena_peak = 0;
-
-  /// Heap CB slots: subtree roots and upper nodes (arena slots never
-  /// cross a task boundary).
-  std::vector<std::vector<double>> cb_heap;
-  /// Arena CB slots, only ever touched by the owning subtree's task.
-  std::vector<double*> cb_arena;
-  /// Out-of-core mode: the shared budget gate (null = in-core). When
-  /// set, every CB lives in the coordinator instead of cb_heap/cb_arena
-  /// and the arenas stay empty.
-  OocCoordinator* ooc = nullptr;
 
   const AssemblyTree& tree() const { return analysis->tree; }
+
+  /// Factors node i on worker w; folds the pivot report into `acc` and
+  /// the node's factor entries into `entries`.
+  void factor(index_t i, unsigned w, FrontWorkspace& ws,
+              numeric_detail::FrontResult& acc, count_t& entries) {
+    const numeric_detail::FrontResult fr = numeric_detail::factor_node(
+        ctx, i, static_cast<index_t>(w), *coord, ws,
+        fact->nodes[static_cast<std::size_t>(i)], fact->row_of);
+    acc.perturbations += fr.perturbations;
+    acc.exact_zero_pivots += fr.exact_zero_pivots;
+    acc.max_pivot_abs = std::max(acc.max_pivot_abs, fr.max_pivot_abs);
+    entries += tree().factor_entries(i);
+  }
+
+  /// Flushes one task's statistics under one lock.
+  void flush(const numeric_detail::FrontResult& acc, count_t entries) {
+    std::lock_guard<std::mutex> lock(mu);
+    perturbations += acc.perturbations;
+    exact_zero_pivots += acc.exact_zero_pivots;
+    max_pivot_abs = std::max(max_pivot_abs, acc.max_pivot_abs);
+    factor_entries += entries;
+  }
 
   void fail(std::exception_ptr e) {
     {
@@ -73,159 +85,38 @@ struct Runtime {
     // Admission waiters wait for memory a dead worker can no longer
     // free: cancel the coordinator first, so a memory waiter the
     // scheduler's failure wakes finds the admission cancelled.
-    if (ooc) ooc->cancel();
+    coord->cancel();
     sched->fail();
   }
 };
 
-/// Runs one whole subtree on the calling worker with its private arena.
-/// Statistics accumulate locally and flush under one lock at the end.
-void run_subtree(Runtime& rt, index_t s, unsigned w, FrontWorkspace& ws,
-                 FrontalArena& arena, count_t& arena_peak,
-                 std::vector<const double*>& child_cbs) {
-  const AssemblyTree& tree = rt.tree();
-  const index_t root = rt.subtrees.roots[static_cast<std::size_t>(s)];
+/// Runs one whole subtree on the calling worker, in postorder.
+void run_subtree(Runtime& rt, index_t s, unsigned w, FrontWorkspace& ws) {
+  // Only the span and the fault site read it; both can compile out.
+  [[maybe_unused]] const index_t root =
+      rt.subtrees.roots[static_cast<std::size_t>(s)];
   MEMFRONT_SPAN("subtree", root);
+  // Fault site: a worker task dying mid-subtree (any exception class)
+  // must drain the pool and surface exactly one structured error. The
+  // subtree root is the stable id, so the firing schedule is a pure
+  // function of the seed regardless of worker interleaving.
+  if (MEMFRONT_FAULT("worker.subtree_exception", root))
+    throw std::runtime_error("injected worker failure in subtree task");
   numeric_detail::FrontResult acc;
-  count_t factor_entries = 0;
-  for (index_t i : rt.subtree_nodes[static_cast<std::size_t>(s)]) {
-    const index_t nfront = tree.nfront(i);
-    const index_t npiv = tree.npiv(i);
-    const index_t ncb = nfront - npiv;
-    const std::size_t front_doubles =
-        static_cast<std::size_t>(nfront) * static_cast<std::size_t>(nfront);
-    const auto children = tree.children(i);
-
-    if (rt.ooc) rt.ooc->begin_node(i, static_cast<index_t>(w));
-    FrontView front = ws.acquire_front(nfront);
-    if (!rt.ooc)
-      arena_peak = std::max(
-          arena_peak, static_cast<count_t>(arena.in_use() + front_doubles));
-
-    // Fault site: a worker task dying mid-subtree (any exception class)
-    // must drain the pool and surface exactly one structured error. The
-    // subtree root is the stable id, so the firing schedule is a pure
-    // function of the seed regardless of worker interleaving.
-    if (MEMFRONT_FAULT("worker.subtree_exception", root))
-      throw std::runtime_error("injected worker failure in subtree task");
-
-    numeric_detail::FrontResult fr;
-    if (rt.ooc) {
-      // Budgeted assembly streams the children one at a time through
-      // the coordinator (a spilled child scatters panel by panel).
-      const numeric_detail::ChildStream stream{
-          [&](std::size_t c, FrontView f, std::span<const index_t> positions) {
-            rt.ooc->assemble_child(
-                children[c], static_cast<index_t>(w),
-                c + 1 < children.size() ? children[c + 1] : kNone, f,
-                positions);
-          }};
-      fr = numeric_detail::process_front(
-          rt.ctx, i, stream, ws, front,
-          rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
-    } else {
-      child_cbs.clear();
-      for (index_t child : children)
-        child_cbs.push_back(rt.cb_arena[static_cast<std::size_t>(child)]);
-      fr = numeric_detail::process_front(
-          rt.ctx, i, child_cbs, ws, front,
-          rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
-    }
-    acc.perturbations += fr.perturbations;
-    acc.exact_zero_pivots += fr.exact_zero_pivots;
-    acc.max_pivot_abs = std::max(acc.max_pivot_abs, fr.max_pivot_abs);
-    factor_entries += tree.factor_entries(i);
-
-    if (rt.ooc) {
-      if (ncb > 0) rt.ooc->store_cb(i, static_cast<index_t>(w), front, npiv);
-      rt.ooc->end_node(i, rt.fact->nodes[static_cast<std::size_t>(i)],
-                       static_cast<index_t>(w));
-      continue;
-    }
-    for (std::size_t c = children.size(); c-- > 0;) {
-      const index_t child = children[c];
-      arena.pop(rt.cb_arena[static_cast<std::size_t>(child)],
-                static_cast<std::size_t>(square(tree.ncb(child))));
-      rt.cb_arena[static_cast<std::size_t>(child)] = nullptr;
-    }
-    if (ncb > 0) {
-      if (i == root) {
-        // The root's CB outlives this task: publish it on the heap for
-        // the upper-part parent.
-        auto& slot = rt.cb_heap[static_cast<std::size_t>(i)];
-        slot.resize(static_cast<std::size_t>(square(ncb)));
-        numeric_detail::extract_cb(front, npiv, slot.data());
-      } else {
-        double* slot = arena.push(static_cast<std::size_t>(square(ncb)));
-        numeric_detail::extract_cb(front, npiv, slot);
-        rt.cb_arena[static_cast<std::size_t>(i)] = slot;
-      }
-    }
-    arena_peak = std::max(
-        arena_peak, static_cast<count_t>(arena.in_use() + front_doubles));
-  }
-  check(arena.in_use() == 0, "parallel_numeric: subtree left CBs stacked");
-  std::lock_guard<std::mutex> lock(rt.mu);
-  rt.perturbations += acc.perturbations;
-  rt.exact_zero_pivots += acc.exact_zero_pivots;
-  rt.max_pivot_abs = std::max(rt.max_pivot_abs, acc.max_pivot_abs);
-  rt.factor_entries += factor_entries;
+  count_t entries = 0;
+  for (index_t i : rt.subtree_nodes[static_cast<std::size_t>(s)])
+    rt.factor(i, w, ws, acc, entries);
+  rt.flush(acc, entries);
 }
 
-/// Runs one upper-part node task (children are subtree roots or other
-/// upper nodes; all CBs live on the heap).
-void run_upper(Runtime& rt, index_t i, unsigned w, FrontWorkspace& ws,
-               std::vector<const double*>& child_cbs) {
+/// Runs one upper-part node task (its children are subtree roots or
+/// other upper nodes).
+void run_upper(Runtime& rt, index_t i, unsigned w, FrontWorkspace& ws) {
   MEMFRONT_SPAN("upper_front", i);
-  const AssemblyTree& tree = rt.tree();
-  const index_t npiv = tree.npiv(i);
-  const index_t ncb = tree.ncb(i);
-  const auto children = tree.children(i);
-
-  if (rt.ooc) rt.ooc->begin_node(i, static_cast<index_t>(w));
-  FrontView front = ws.acquire_front(tree.nfront(i));
-
-  numeric_detail::FrontResult fr;
-  if (rt.ooc) {
-    const numeric_detail::ChildStream stream{
-        [&](std::size_t c, FrontView f, std::span<const index_t> positions) {
-          rt.ooc->assemble_child(
-              children[c], static_cast<index_t>(w),
-              c + 1 < children.size() ? children[c + 1] : kNone, f, positions);
-        }};
-    fr = numeric_detail::process_front(
-        rt.ctx, i, stream, ws, front,
-        rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
-  } else {
-    child_cbs.clear();
-    for (index_t child : children)
-      child_cbs.push_back(rt.cb_heap[static_cast<std::size_t>(child)].data());
-    fr = numeric_detail::process_front(
-        rt.ctx, i, child_cbs, ws, front,
-        rt.fact->nodes[static_cast<std::size_t>(i)], rt.fact->row_of);
-  }
-
-  if (rt.ooc) {
-    if (ncb > 0) rt.ooc->store_cb(i, static_cast<index_t>(w), front, npiv);
-    rt.ooc->end_node(i, rt.fact->nodes[static_cast<std::size_t>(i)],
-                     static_cast<index_t>(w));
-  } else {
-    for (index_t child : children) {
-      auto& slot = rt.cb_heap[static_cast<std::size_t>(child)];
-      std::vector<double>().swap(slot);  // actually release the storage
-    }
-    if (ncb > 0) {
-      auto& slot = rt.cb_heap[static_cast<std::size_t>(i)];
-      slot.resize(static_cast<std::size_t>(square(ncb)));
-      numeric_detail::extract_cb(front, npiv, slot.data());
-    }
-  }
-
-  std::lock_guard<std::mutex> lock(rt.mu);
-  rt.perturbations += fr.perturbations;
-  rt.exact_zero_pivots += fr.exact_zero_pivots;
-  rt.max_pivot_abs = std::max(rt.max_pivot_abs, fr.max_pivot_abs);
-  rt.factor_entries += tree.factor_entries(i);
+  numeric_detail::FrontResult acc;
+  count_t entries = 0;
+  rt.factor(i, w, ws, acc, entries);
+  rt.flush(acc, entries);
 }
 
 void worker_loop(Runtime& rt, unsigned w) {
@@ -237,22 +128,15 @@ void worker_loop(Runtime& rt, unsigned w) {
     // under a budget alike): helpers write into this front, charge no
     // memory and make no dispatch.
     ws.team = rt.sched;
-    FrontalArena arena;
-    count_t arena_peak = 0;
-    std::vector<const double*> child_cbs;
 
     NumericScheduler::Task task;
     while (rt.sched->next_task(w, task)) {
       if (task.kind == NumericScheduler::Task::Kind::kSubtree)
-        run_subtree(rt, task.id, w, ws, arena, arena_peak, child_cbs);
+        run_subtree(rt, task.id, w, ws);
       else
-        run_upper(rt, task.id, w, ws, child_cbs);
+        run_upper(rt, task.id, w, ws);
       rt.sched->complete(w, task);
     }
-
-    std::lock_guard<std::mutex> stats_lock(rt.mu);
-    rt.max_arena_peak = std::max(rt.max_arena_peak, arena_peak);
-    rt.total_arena_peak += arena_peak;
   } catch (...) {
     rt.fail(std::current_exception());
   }
@@ -310,9 +194,6 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   split_subtree_nodes(rt.subtrees, analysis.traversal, rt.subtree_nodes,
                       rt.upper_nodes);
 
-  rt.cb_heap.resize(static_cast<std::size_t>(nn));
-  rt.cb_arena.assign(static_cast<std::size_t>(nn), nullptr);
-
   // Whole-subtree tasks start on the worker their LPT processor folds
   // onto, biggest subtree first.
   NumericScheduler sched(
@@ -322,12 +203,12 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   rt.sched = &sched;
 
   // The coordinator is created after (and destroyed before) the
-  // scheduler: its sched hooks call back into it.
-  std::unique_ptr<OocCoordinator> ooc;
+  // scheduler: its sched hooks call back into it. In core it has no
+  // hooks, so the scheduler sees no reservation.
+  OocCoordinator coord(options.ooc, tree, static_cast<index_t>(workers));
+  rt.coord = &coord;
   if (options.ooc.enabled) {
-    ooc = std::make_unique<OocCoordinator>(options.ooc, tree,
-                                           static_cast<index_t>(workers));
-    ooc->set_sched_hooks(
+    coord.set_sched_hooks(
         {/*admit=*/[&sched](index_t w, index_t node, count_t window) {
            return sched.consult_admission(w, node, window);
          },
@@ -340,7 +221,6 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
          /*released=*/[&sched](std::uint64_t epoch) {
            sched.memory_released(epoch);
          }});
-    rt.ooc = ooc.get();
   }
 
   const auto wall_t0 = std::chrono::steady_clock::now();
@@ -362,21 +242,16 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   fact.stats.exact_zero_pivots = rt.exact_zero_pivots;
   fact.stats.pivot_growth_max = amax > 0.0 ? rt.max_pivot_abs / amax : 0.0;
   fact.stats.factor_entries = rt.factor_entries;
-  fact.stats.arena_peak_doubles = rt.max_arena_peak;
-  if (ooc) {
-    fact.stats.ooc = ooc->finish();
-    if (options.ooc.spill_factors) fact.ooc_factors = ooc->factor_state();
-    fact.stats.arena_peak_doubles = fact.stats.ooc.charged_peak_doubles;
-    rt.max_arena_peak = fact.stats.ooc.charged_peak_doubles;
-  }
+  const OocExecStats ooc = coord.finish();
+  fact.stats.arena_peak_doubles = ooc.charged_peak_doubles;
+  if (options.ooc.enabled) fact.stats.ooc = ooc;
+  fact.ooc_factors = coord.factor_state();
   ParallelNumericStats local_stats;
   ParallelNumericStats& out = stats ? *stats : local_stats;
   out.workers = workers;
   out.num_subtrees = num_subtrees;
   out.num_upper_nodes = static_cast<index_t>(rt.upper_nodes.size());
-  out.max_arena_peak_doubles = rt.max_arena_peak;
-  out.total_arena_peak_doubles = rt.total_arena_peak;
-  out.steal_arena_bound_doubles = sched.steal_arena_bound_doubles();
+  out.total_arena_peak_doubles = ooc.charged_peak_doubles;
   out.policy = sched.policy_name();
   out.steal = options.sched.steal;
   out.sched = sched.stats();

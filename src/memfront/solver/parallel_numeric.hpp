@@ -1,9 +1,10 @@
 // Task-parallel numeric multifrontal factorization over the assembly
 // tree. The Geist-Ng subtree-to-processor mapping (symbolic/subtrees)
 // cuts the bottom of the tree into whole-subtree tasks — each runs on
-// one worker with a *private* frontal arena, pure type-1 parallelism —
-// and the upper part runs as dependency-counted node tasks that become
-// ready when their children finish.
+// one worker in postorder, pure type-1 parallelism — and the upper part
+// runs as dependency-counted node tasks that become ready when their
+// children finish. Every CB lives in one shared OocCoordinator ledger
+// (in core is its unlimited budget), which also measures the peak.
 //
 // Execution order is *dynamic*: the NumericScheduler (solver/scheduler)
 // keeps per-worker task deques with chunked work stealing, and consults
@@ -37,10 +38,10 @@ struct ParallelNumericOptions {
   /// Scheduling: which SchedulerPolicy drives dispatch/admission and
   /// whether workers steal (sched.steal = false is determinism mode).
   RealSchedOptions sched{};
-  /// Real out-of-core execution: one OocCoordinator gates every worker
+  /// Real out-of-core execution: the OocCoordinator gates every worker
   /// under a single global budget (ooc.budget_doubles); CBs spill to
   /// per-worker files and factor panels stream to disk. The result
-  /// stays bit-identical to the in-core drivers.
+  /// stays bit-identical to the in-core run.
   OocExecConfig ooc{};
 };
 
@@ -48,16 +49,11 @@ struct ParallelNumericStats {
   unsigned workers = 0;
   index_t num_subtrees = 0;
   index_t num_upper_nodes = 0;
-  /// Physical arena high-water marks over the subtree phase (doubles of
-  /// full-square storage): the worst single worker and the sum of all
-  /// workers. Each worker's private arena obeys the sequential stack
-  /// discipline inside every subtree it runs.
-  count_t max_arena_peak_doubles = 0;
+  /// High-water mark of the shared ledger (doubles of full-square
+  /// storage): stacked CBs plus live fronts of all workers at one
+  /// instant, plus in-flight writes out of core — the same value as
+  /// FactorStats::arena_peak_doubles. It depends on the schedule.
   count_t total_arena_peak_doubles = 0;
-  /// Stealing-aware bound (predict_steal_arena_bound): per-worker
-  /// footprint never exceeds it under any schedule;
-  /// max_arena_peak_doubles <= this <= the serial predicted peak.
-  count_t steal_arena_bound_doubles = 0;
   /// Scheduler outcome: the policy that drove dispatch, whether
   /// stealing was on, and the counters (steals, wakeups, consults...).
   const char* policy = "workload";

@@ -4,7 +4,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "memfront/frontal/arena.hpp"
 #include "memfront/obs/span_tracer.hpp"
 #include "memfront/support/error.hpp"
 #include "memfront/support/fault.hpp"
@@ -87,27 +86,13 @@ count_t predict_subtree_arena_peak(const AssemblyTree& tree,
     // Assembly: the front coexists with every child CB still stacked.
     peak = std::max(peak, cb_live + fsq);
     for (index_t child : tree.children(i)) cb_live -= square(tree.ncb(child));
-    if (i == root) continue;  // the root's CB goes to the heap
+    if (i == root) continue;  // the root's CB outlives the task
     // Extraction: the node's CB is pushed while the front is still live.
     peak = std::max(peak, cb_live + square(tree.ncb(i)) + fsq);
     cb_live += square(tree.ncb(i));
   }
   check(cb_live == 0, "predict_subtree_arena_peak: subtree left CBs stacked");
   return peak;
-}
-
-count_t predict_steal_arena_bound(
-    const AssemblyTree& tree, const Subtrees& subtrees,
-    const std::vector<std::vector<index_t>>& subtree_nodes,
-    std::span<const index_t> upper_nodes) {
-  count_t bound = 0;
-  for (std::size_t s = 0; s < subtree_nodes.size(); ++s)
-    bound = std::max(bound,
-                     predict_subtree_arena_peak(tree, subtree_nodes[s],
-                                                subtrees.roots[s]));
-  for (index_t i : upper_nodes)
-    bound = std::max(bound, square(static_cast<count_t>(tree.nfront(i))));
-  return bound;
 }
 
 // ---------------------------------------------------------------------------
@@ -167,8 +152,6 @@ NumericScheduler::NumericScheduler(
             workers),
       ooc_budget_(ooc_budget_doubles),
       t0_(std::chrono::steady_clock::now()) {
-  steal_bound_ =
-      predict_steal_arena_bound(tree, subtrees, subtree_nodes, upper_nodes);
   subtree_flops_ = subtrees.flops;
   if (options_.policy_override) {
     policy_ = options_.policy_override;

@@ -125,31 +125,15 @@ void split_subtree_nodes(const Subtrees& subtrees,
 std::vector<std::vector<index_t>> fold_subtrees(const Subtrees& subtrees,
                                                 unsigned workers);
 
-/// Exact arena + live-front peak of one whole-subtree task (doubles of
-/// full-square storage): the predict_arena_peak model over the
-/// subtree's postorder, except the root's CB — published to the heap
-/// for the upper-part parent, never stacked — costs the arena nothing.
+/// Exact stacked-CB + live-front peak of one whole-subtree task
+/// (doubles of full-square storage): the predict_arena_peak model over
+/// the subtree's postorder, except the root's CB, which outlives the
+/// task (it waits in the ledger for the upper-part parent) and so is
+/// left out of the task's own window. The memory policy reads it as
+/// the task's activation size.
 count_t predict_subtree_arena_peak(const AssemblyTree& tree,
                                    std::span<const index_t> nodes,
                                    index_t root);
-
-/// Stealing-aware per-worker memory bound, in doubles of full-square
-/// storage. predict_arena_peak covers the *static* serial fold only; a
-/// stolen schedule still obeys, per worker and at every instant:
-///
-///   arena + live front  <=  max_s predict_subtree_arena_peak(s)
-///                           (each subtree task runs the sequential
-///                            stack discipline on a private arena that
-///                            is empty between tasks), and
-///   upper-front scratch <=  max_i nfront(i)^2 over upper nodes i
-///
-/// so a worker's footprint never exceeds the max of the two windows, no
-/// matter which tasks it stole. Returns that bound; also the admission
-/// charge the scheduler projects per task.
-count_t predict_steal_arena_bound(
-    const AssemblyTree& tree, const Subtrees& subtrees,
-    const std::vector<std::vector<index_t>>& subtree_nodes,
-    std::span<const index_t> upper_nodes);
 
 /// The live PolicyHost of the real worker pool. One "processor" per
 /// worker; announced histories are refreshed from live counters under
@@ -270,7 +254,6 @@ class NumericScheduler final : public FrontTeam {
 
   const SchedStats& stats() const { return stats_; }
   const char* policy_name() const { return policy_->name(); }
-  count_t steal_arena_bound_doubles() const { return steal_bound_; }
 
  private:
   struct PoolRef {
@@ -341,7 +324,6 @@ class NumericScheduler final : public FrontTeam {
   /// does not) — gates the per-dispatch announced refresh.
   bool policy_reads_host_ = false;
   count_t ooc_budget_ = 0;
-  count_t steal_bound_ = 0;
 
   mutable std::mutex mu_;
   std::vector<Sleeper> sleepers_;          ///< one per worker

@@ -78,8 +78,8 @@ struct SolveGraph {
   /// Upper-part nodes in traversal order.
   std::vector<index_t> upper_nodes;
   /// Row offset of each node's CB-RHS block in the slab (num_nodes + 1
-  /// prefix sums of ncb); the slab replaces the factorization's LIFO
-  /// arena — every node owns a fixed slice, so tasks never contend.
+  /// prefix sums of ncb); unlike the factorization's LIFO CB stack,
+  /// every node owns a fixed slice, so tasks never contend.
   std::vector<count_t> cb_offset;
   count_t cb_rows = 0;
   index_t max_nfront = 0;

@@ -1,6 +1,6 @@
 // Deterministic, seed-driven fault injection.
 //
-// Named injection sites sit on the failure-prone paths (arena slab
+// Named injection sites sit on the failure-prone paths (CB
 // allocation, front assembly, worker tasks, OOC disk ops, matrix-file
 // reads). A site fires when the armed plan's hash of (seed, site, id)
 // lands on the site's period — so *which* calls fail is a pure function

@@ -33,7 +33,7 @@ enum class ErrorCode : unsigned char {
   kInvalidInput,        // malformed matrix/options/file (user-fixable)
   kSingularMatrix,      // exactly singular pivot block, caller opted into failing
   kPivotBreakdown,      // non-finite pivots: the factorization is numerically dead
-  kResourceExhausted,   // allocation failure (arena slab, workspace)
+  kResourceExhausted,   // allocation failure (CB, workspace) or infeasible budget
   kIoError,             // out-of-core read/write failed after bounded retries
   kWorkerFailure,       // a worker thread failed with a non-taxonomy exception
   kInternal,            // broken invariant (check()) or unknown exception

@@ -34,12 +34,14 @@ constexpr double kScale = 0.14;
 constexpr std::uint64_t kSeedsPerCase = 16;
 
 /// The full execution-path fault surface, at periods chosen to mix clean
-/// and failing schedules across the seed sweep.
+/// and failing schedules across the seed sweep. coordinator.cb_alloc
+/// fires per CB (keyed on the node), so its period is of the order of a
+/// case's CB count.
 fault::Plan chaos_plan(std::uint64_t seed) {
   return {.seed = seed,
           .period = 0,
           .overrides = {{"front.assemble_nan", 101},
-                        {"arena.slab_alloc", 5},
+                        {"coordinator.cb_alloc", 200},
                         {"worker.subtree_exception", 7},
                         {"worker.solve_exception", 7}}};
 }

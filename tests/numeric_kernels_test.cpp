@@ -3,7 +3,7 @@
 // for bit (pivot sequences AND every stored value), alone and with its
 // large trailing updates split over a team of threads; every SIMD width
 // of schur_update against the rank-1 chain; the signbit perturbation
-// fix, the mapped extend-add scatter, and the arena's LIFO discipline.
+// fix and the mapped extend-add scatter.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "memfront/frontal/arena.hpp"
 #include "memfront/frontal/extend_add.hpp"
 #include "memfront/frontal/kernels.hpp"
 #include "memfront/support/rng.hpp"
@@ -295,62 +294,6 @@ TEST(NumericKernels, ExtendAddMappedScattersThroughLocalMap) {
   EXPECT_DOUBLE_EQ(pv.at(3, 3), 8.0);
   EXPECT_DOUBLE_EQ(pv.at(0, 0), 0.0);
   EXPECT_DOUBLE_EQ(pv.at(2, 2), 0.0);
-}
-
-TEST(FrontalArenaTest, LifoPushPopTracksPeak) {
-  FrontalArena arena;
-  double* a = arena.push(100);
-  double* b = arena.push(50);
-  EXPECT_EQ(arena.in_use(), 150u);
-  EXPECT_EQ(arena.peak(), 150u);
-  arena.pop(b, 50);
-  double* c = arena.push(25);
-  EXPECT_EQ(arena.in_use(), 125u);
-  EXPECT_EQ(arena.peak(), 150u);
-  arena.pop(c, 25);
-  arena.pop(a, 100);
-  EXPECT_EQ(arena.in_use(), 0u);
-  EXPECT_EQ(arena.peak(), 150u);
-}
-
-TEST(FrontalArenaTest, PopOutOfOrderThrows) {
-  FrontalArena arena;
-  double* a = arena.push(10);
-  double* b = arena.push(20);
-  EXPECT_THROW(arena.pop(a, 10), std::logic_error);
-  arena.pop(b, 20);
-  arena.pop(a, 10);
-}
-
-TEST(FrontalArenaTest, GrowsAcrossSlabsWithStablePointers) {
-  FrontalArena arena(128);  // deliberately tiny reserve
-  std::vector<std::pair<double*, std::size_t>> live;
-  for (int i = 0; i < 20; ++i) {
-    const std::size_t count = 100'000;  // forces fresh slabs
-    double* p = arena.push(count);
-    p[0] = static_cast<double>(i);
-    p[count - 1] = -static_cast<double>(i);
-    live.emplace_back(p, count);
-  }
-  EXPECT_GE(arena.slab_allocations(), 2u);
-  for (int i = 0; i < 20; ++i) {  // earlier slots untouched by growth
-    EXPECT_EQ(live[static_cast<std::size_t>(i)].first[0], i);
-  }
-  for (std::size_t i = live.size(); i-- > 0;)
-    arena.pop(live[i].first, live[i].second);
-  EXPECT_EQ(arena.in_use(), 0u);
-  // Emptied slabs are reused, not reallocated.
-  const std::size_t slabs = arena.slab_allocations();
-  double* again = arena.push(100'000);
-  EXPECT_EQ(arena.slab_allocations(), slabs);
-  arena.pop(again, 100'000);
-}
-
-TEST(FrontalArenaTest, ZeroSizedAllocationsAreNoops) {
-  FrontalArena arena;
-  EXPECT_EQ(arena.push(0), nullptr);
-  arena.pop(nullptr, 0);
-  EXPECT_EQ(arena.in_use(), 0u);
 }
 
 }  // namespace

@@ -2,12 +2,15 @@
 // drivers must produce factors and solutions bit-identical to the
 // in-core ones while the charged footprint (resident CBs + live fronts
 // + in-flight spill writes) never exceeds the budget — checked at
-// 0.8x of the in-core arena peak on the largest Table-1 problem
-// (PRE2), serially and at 2/4/8 workers, in both I/O disciplines, and
-// at the minimum budget on 3 workers, where the dead CB files are
-// discarded before the final flush.
+// 0.8x of the in-core peak on the largest Table-1 problem (PRE2),
+// serially and at 2/4/8 workers, in both I/O disciplines, and at the
+// minimum budget on 3 workers, where the dead CB files are discarded
+// before the final flush. In core, the same ledger runs unlimited and
+// opens nothing on disk; the serial driver's admission waits never
+// need the safety-net tick.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
@@ -107,6 +110,7 @@ TEST(OocExec, SerialPre2At08PeakIsBitIdenticalAndWithinBudget) {
   EXPECT_EQ(st.spill_doubles, st.reload_doubles)
       << "every spilled CB must be reloaded exactly once";
   EXPECT_GT(st.factor_write_doubles, 0);
+  EXPECT_EQ(st.admission_tick_rescues, 0) << "an admission missed a release";
 
   // The same bound, observable from the outside through the obs gauges
   // (the acceptance pin: arena + spill-buffer bytes <= budget bytes).
@@ -225,6 +229,7 @@ TEST(OocExec, SynchronousModeMatchesWriteBehindBitForBit) {
   EXPECT_LE(fact.stats.ooc.charged_peak_doubles, budget);
   // Synchronous writes never overlap compute by definition.
   EXPECT_EQ(fact.stats.ooc.overlap_seconds, 0.0);
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
 }
 
 TEST(OocExec, AdmissionDrainModeMatchesToo) {
@@ -233,6 +238,7 @@ TEST(OocExec, AdmissionDrainModeMatchesToo) {
   opt.ooc = budgeted(f.arena_peak * 8 / 10, OocIoMode::kAdmissionDrain);
   const Factorization fact = numeric_factorize(f.analysis, opt);
   expect_factors_bitwise_identical(fact, f.incore, "admission-drain");
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
 }
 
 TEST(OocExec, UnlimitedBudgetStillStreamsFactors) {
@@ -243,8 +249,58 @@ TEST(OocExec, UnlimitedBudgetStillStreamsFactors) {
   expect_factors_bitwise_identical(fact, f.incore, "unlimited");
   EXPECT_EQ(fact.stats.ooc.spill_events, 0);
   EXPECT_GT(fact.stats.ooc.factor_write_doubles, 0);
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
   const std::vector<double> x = solve_factorized_multi(f.analysis, fact, f.b, 1);
   EXPECT_TRUE(bitwise_equal(x, f.x_incore));
+}
+
+TEST(OocExec, InCoreOpensNothingOnDisk) {
+  Pre2Fixture& f = pre2();
+  // A fresh spill directory for any store the runs below might open.
+  std::string dir =
+      (std::filesystem::temp_directory_path() / "memfront_incore_XXXXXX")
+          .string();
+  ASSERT_NE(::mkdtemp(dir.data()), nullptr);
+  const char* prev = std::getenv("MEMFRONT_SPILL_DIR");
+  const bool had_prev = prev != nullptr;
+  const std::string saved = had_prev ? prev : "";
+  ::setenv("MEMFRONT_SPILL_DIR", dir.c_str(), 1);
+  obs::MetricsRegistry::global().reset();
+
+  const Factorization serial = numeric_factorize(f.analysis);
+  ParallelNumericOptions popt;
+  popt.nthreads = 4;
+  popt.nprocs = 8;
+  const Factorization parallel = parallel_numeric_factorize(f.analysis, popt);
+
+  if (had_prev)
+    ::setenv("MEMFRONT_SPILL_DIR", saved.c_str(), 1);
+  else
+    ::unsetenv("MEMFRONT_SPILL_DIR");
+  EXPECT_TRUE(std::filesystem::is_empty(dir)) << "in core wrote a file";
+  std::filesystem::remove_all(dir);
+
+  EXPECT_EQ(serial.ooc_factors, nullptr);
+  EXPECT_EQ(parallel.ooc_factors, nullptr);
+  // In core records no solver.ooc.* metric and reports no OOC stats.
+  const auto& metrics = obs::MetricsRegistry::global();
+  for (const char* name : {"solver.ooc.runs", "solver.ooc.policy_admissions",
+                           "solver.ooc.admission_tick_rescues"}) {
+    const obs::Counter* c = metrics.find_counter(name);
+    EXPECT_TRUE(c == nullptr || c->value() == 0) << name;
+  }
+  const obs::Gauge* charged =
+      metrics.find_gauge("solver.ooc.charged_peak_bytes");
+  EXPECT_TRUE(charged == nullptr || charged->value() == 0);
+  EXPECT_EQ(serial.stats.ooc.charged_peak_doubles, 0);
+  EXPECT_EQ(parallel.stats.ooc.charged_peak_doubles, 0);
+  // The serial ledger is the in-core stack model, and both drivers keep
+  // the in-core bits.
+  EXPECT_EQ(serial.stats.arena_peak_doubles,
+            predict_arena_peak(f.analysis.tree, f.analysis.traversal));
+  EXPECT_GT(parallel.stats.arena_peak_doubles, 0);
+  expect_factors_bitwise_identical(serial, f.incore, "serial in core");
+  expect_factors_bitwise_identical(parallel, f.incore, "parallel in core");
 }
 
 TEST(OocExec, CbOnlyModeKeepsFactorsResident) {
@@ -257,6 +313,7 @@ TEST(OocExec, CbOnlyModeKeepsFactorsResident) {
   EXPECT_EQ(fact.ooc_factors, nullptr);
   EXPECT_EQ(fact.stats.ooc.factor_write_doubles, 0);
   EXPECT_GT(fact.stats.ooc.spill_events, 0);
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
 }
 
 TEST(OocExec, InfeasibleBudgetIsAStructuredResourceError) {
@@ -287,6 +344,7 @@ TEST(OocExec, AllowOverrunRecordsInsteadOfFailing) {
   expect_factors_bitwise_identical(fact, f.incore, "overrun");
   EXPECT_GT(fact.stats.ooc.overrun_peak_doubles, 0);
   EXPECT_GT(fact.stats.ooc.charged_peak_doubles, floor / 2);
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
 }
 
 TEST(OocExec, MinBudgetPredictorIsAFeasibilityBoundary) {
@@ -302,6 +360,7 @@ TEST(OocExec, MinBudgetPredictorIsAFeasibilityBoundary) {
   const Factorization fact = numeric_factorize(f.analysis, opt);
   expect_factors_bitwise_identical(fact, f.incore, "at the floor");
   EXPECT_LE(fact.stats.ooc.charged_peak_doubles, floor);
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
 }
 
 TEST(OocExec, RepeatedSolvesAfterReloadStayIdentical) {
@@ -313,6 +372,7 @@ TEST(OocExec, RepeatedSolvesAfterReloadStayIdentical) {
   const std::vector<double> x2 = solve_factorized_multi(f.analysis, fact, f.b, 1);
   EXPECT_TRUE(bitwise_equal(x1, f.x_incore));
   EXPECT_TRUE(bitwise_equal(x2, x1)) << "second solve (panels resident)";
+  EXPECT_EQ(fact.stats.ooc.admission_tick_rescues, 0);
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 //  - The fault registry replays schedules: equal seeds fire equal call
 //    sets, at explicit ids and auto-id counters alike.
 //  - Every named injection site surfaces as its taxonomy code:
-//    arena.slab_alloc -> resource_exhausted, front.assemble_nan ->
+//    coordinator.cb_alloc -> resource_exhausted, front.assemble_nan ->
 //    pivot_breakdown, worker.* -> worker_failure (first failure only,
 //    pools drain cleanly and the process stays reusable), ooc.write/read
 //    -> bounded retries then io_error.
@@ -318,16 +318,17 @@ TEST(FaultSites, AssembledNanSurfacesAsPivotBreakdown) {
                                "post-breakdown rerun");
 }
 
-TEST(FaultSites, ArenaSlabFailureSurfacesAsResourceExhausted) {
+TEST(FaultSites, CbAllocFailureSurfacesAsResourceExhausted) {
   const Problem p = make_problem(ProblemId::kTwotone, kScale);
   const Analysis analysis = analyze(p.matrix, {});
   try {
     fault::ScopedPlan scoped(
-        {.seed = 2, .period = 0, .overrides = {{"arena.slab_alloc", 1}}});
+        {.seed = 2, .period = 0, .overrides = {{"coordinator.cb_alloc", 1}}});
     (void)numeric_factorize(analysis);
     FAIL() << "injected allocation failure did not surface";
   } catch (const SolverError& e) {
     EXPECT_EQ(e.code(), ErrorCode::kResourceExhausted);
+    EXPECT_NE(e.context().node, kNone) << "the failure must name the node";
   }
 }
 
@@ -431,7 +432,7 @@ TEST(FaultSites, TryFacadeMapsEveryFailureToStatus) {
   }
   {
     fault::ScopedPlan scoped(
-        {.seed = 2, .period = 0, .overrides = {{"arena.slab_alloc", 1}}});
+        {.seed = 2, .period = 0, .overrides = {{"coordinator.cb_alloc", 1}}});
     EXPECT_EQ(solver.try_factorize().code, ErrorCode::kResourceExhausted);
   }
 

@@ -22,7 +22,9 @@
 //     posted job, returns on a release past what it saw, returns on
 //     failure) and end to end at the minimum budget, where workers
 //     waiting for memory help the front that holds it,
-//   - no lost wakeups: every run here ends with zero tick rescues.
+//   - no lost wakeups: every run here ends with zero tick rescues,
+//   - one worker's in-core ledger peak is predict_arena_peak of the
+//     order it ran (dispatches logged by a recording mock policy).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,6 +194,76 @@ class CountingPolicy final : public SchedulerPolicy {
   std::size_t admit_calls = 0;
   std::size_t last_pool_size = 0;
 };
+
+/// Mock policy: LIFO dispatch like the workload policy, logging the
+/// pool node each dispatch chose (a subtree task shows as its root).
+class RecordingPolicy final : public SchedulerPolicy {
+ public:
+  const char* name() const override { return "recording"; }
+  std::size_t select_task(const TaskQuery& query) override {
+    chosen.push_back(query.pool.back());
+    return query.pool.size() - 1;
+  }
+  count_t slave_metric(index_t, const SlaveQuery&) const override {
+    return 0;
+  }
+  std::vector<SlaveShare> select_slaves(
+      const SlaveQuery&, std::vector<SlaveCandidate>) override {
+    return {};
+  }
+  double admit(index_t, count_t) override { return 0.0; }
+
+  std::vector<index_t> chosen;
+};
+
+TEST(Scheduler, OneWorkerLedgerPeakIsTheArenaModelOfItsOrder) {
+  // One worker runs its tasks one after the other, so the in-core ledger
+  // charges the LIFO stack discipline over the order it ran the nodes
+  // in: every task's nodes in postorder, in dispatch order.
+  struct OrderCase {
+    ProblemId id;
+    bool ldlt;
+  };
+  for (const OrderCase c : {OrderCase{ProblemId::kXenon2, false},
+                            OrderCase{ProblemId::kShip003, true}}) {
+    const std::string label = problem_name(c.id);
+    const Analysis analysis = analyzed_problem(
+        c.id, 0.2, OrderingKind::kNestedDissection, c.ldlt);
+    RecordingPolicy recording;
+    ParallelNumericOptions popt;
+    popt.nthreads = 1;
+    popt.sched.policy_override = &recording;
+    ParallelNumericStats stats;
+    const Factorization fact =
+        parallel_numeric_factorize(analysis, popt, &stats);
+    ASSERT_GT(stats.num_subtrees, 0) << label;
+    ASSERT_GT(stats.num_upper_nodes, 0) << label;
+
+    // The driver's own cut at one processor, to expand subtree tasks.
+    const Subtrees subtrees = find_subtrees(analysis.tree, analysis.memory, 1);
+    std::vector<std::vector<index_t>> subtree_nodes;
+    std::vector<index_t> upper_nodes;
+    split_subtree_nodes(subtrees, analysis.traversal, subtree_nodes,
+                        upper_nodes);
+    std::vector<index_t> order;
+    for (index_t node : recording.chosen) {
+      const index_t s = subtrees.node_subtree[static_cast<std::size_t>(node)];
+      if (s == kNone) {
+        order.push_back(node);
+        continue;
+      }
+      const auto& nodes = subtree_nodes[static_cast<std::size_t>(s)];
+      order.insert(order.end(), nodes.begin(), nodes.end());
+    }
+    ASSERT_EQ(order.size(),
+              static_cast<std::size_t>(analysis.tree.num_nodes()))
+        << label;
+    EXPECT_EQ(stats.total_arena_peak_doubles,
+              predict_arena_peak(analysis.tree, order))
+        << label;
+    expect_bitwise_equal(numeric_factorize(analysis), fact, label);
+  }
+}
 
 TEST(Scheduler, EveryDispatchAndAdmissionConsultsThePolicy) {
   const Analysis analysis =
@@ -505,8 +577,10 @@ TEST(Scheduler, MemoryWaitersHelpTheFrontThatHoldsTheBudget) {
 }
 
 TEST(Scheduler, StealBoundHelpersAreConsistent) {
-  const Analysis analysis =
-      analyzed_problem(ProblemId::kXenon2, 0.16, OrderingKind::kAmd);
+  // Nested dissection: the cut has both subtree and upper tasks (at this
+  // scale the AMD tree cuts into upper tasks only).
+  const Analysis analysis = analyzed_problem(ProblemId::kXenon2, 0.2,
+                                             OrderingKind::kNestedDissection);
   const Subtrees subtrees = find_subtrees(analysis.tree, analysis.memory, 4);
   std::vector<std::vector<index_t>> subtree_nodes;
   std::vector<index_t> upper_nodes;
@@ -516,18 +590,20 @@ TEST(Scheduler, StealBoundHelpersAreConsistent) {
   std::size_t total = upper_nodes.size();
   for (const auto& nodes : subtree_nodes) total += nodes.size();
   EXPECT_EQ(total, analysis.traversal.size());
-  const count_t bound = predict_steal_arena_bound(analysis.tree, subtrees,
-                                                  subtree_nodes, upper_nodes);
+  ASSERT_FALSE(subtree_nodes.empty());
+  ASSERT_FALSE(upper_nodes.empty());
+  // No single task's window — a subtree task's exact stack peak, an
+  // upper front's nfront^2 — exceeds the serial peak it is part of.
   const count_t serial_peak =
       predict_arena_peak(analysis.tree, analysis.traversal);
-  EXPECT_GT(bound, 0);
-  EXPECT_LE(bound, serial_peak);
-  // Per-subtree peaks are exact serial sub-traversal peaks and can
-  // never exceed the bound.
-  for (std::size_t s = 0; s < subtree_nodes.size(); ++s)
-    EXPECT_LE(predict_subtree_arena_peak(analysis.tree, subtree_nodes[s],
-                                         subtrees.roots[s]),
-              bound);
+  for (std::size_t s = 0; s < subtree_nodes.size(); ++s) {
+    const count_t peak = predict_subtree_arena_peak(
+        analysis.tree, subtree_nodes[s], subtrees.roots[s]);
+    EXPECT_GT(peak, 0);
+    EXPECT_LE(peak, serial_peak);
+  }
+  for (index_t i : upper_nodes)
+    EXPECT_LE(square(analysis.tree.nfront(i)), serial_peak);
 }
 
 }  // namespace
