@@ -3,14 +3,15 @@
 // The sequential factorization is a postorder walk, so contribution
 // blocks live in strict LIFO order: a node's children's CBs are the top
 // of the stack when the node assembles, and its own CB is pushed after
-// they pop. The real drivers keep every CB in the OocCoordinator's
-// ledger (in core is its unlimited budget) and the current front in a
-// separate scratch buffer (the paper's third storage area);
-// predict_arena_peak models both areas together in physical full-square
-// doubles — unlike tree_memory, which counts model entries (triangular
-// for symmetric problems) — so the serial in-core ledger peak must
-// *equal* the prediction. predict_min_ooc_budget is the floor below
-// which no budget can admit the traversal.
+// they pop. The factorization driver keeps every CB in the
+// OocCoordinator's ledger (in core is its unlimited budget) and the
+// current front in a separate scratch buffer (the paper's third storage
+// area); predict_arena_peak models both areas together in physical
+// full-square doubles — unlike tree_memory, which counts model entries
+// (triangular for symmetric problems) — so the in-core ledger peak of
+// numeric_factorize, the driver's one-worker run, must *equal* the
+// prediction. predict_min_ooc_budget is the floor below which no budget
+// can admit the traversal.
 #pragma once
 
 #include <span>
@@ -23,7 +24,7 @@ namespace memfront {
 /// with the CB stack + front-scratch discipline the numeric driver uses:
 /// at each node the front coexists first with the children's stacked CBs
 /// (assembly) and then with the node's own pushed CB (extraction copy).
-/// The serial driver's in-core ledger peak equals this exactly.
+/// numeric_factorize's in-core ledger peak equals this exactly.
 count_t predict_arena_peak(const AssemblyTree& tree,
                            std::span<const index_t> traversal);
 
@@ -33,8 +34,8 @@ count_t predict_arena_peak(const AssemblyTree& tree,
 /// extend-add panel by panel) or the front plus one panel of the
 /// node's own CB (degraded extraction streams it to disk straight from
 /// the live front) — maximized over the tree. Below this even "spill
-/// everything else" cannot admit some node, and the budgeted drivers
-/// throw kResourceExhausted; at or above it a serial traversal always
+/// everything else" cannot admit some node, and a budgeted run throws
+/// kResourceExhausted; at or above it a serial traversal always
 /// completes (the coordinator can evict every CB outside the current
 /// window). Always <= predict_arena_peak of the same traversal, and on
 /// real trees well below it — that headroom is what makes budgets like

@@ -216,10 +216,6 @@ void record_factor_stats(const FactorStats& stats) {
   m.counter("solver.factor.exact_zero_pivots").add(stats.exact_zero_pivots);
   m.float_gauge("solver.factor.pivot_growth_max")
       .max_of(stats.pivot_growth_max);
-  m.gauge("solver.factor.stack_peak_entries")
-      .max_of(stats.measured_stack_peak);
-  m.gauge("solver.factor.stack_peak_bytes")
-      .max_of(entries_to_bytes(stats.measured_stack_peak));
   m.gauge("solver.factor.arena_peak_doubles")
       .max_of(stats.arena_peak_doubles);
   m.gauge("solver.factor.arena_peak_bytes")
@@ -239,6 +235,10 @@ void record_parallel_numeric_stats(const ParallelNumericStats& stats,
       .max_of(doubles_to_bytes(stats.total_arena_peak_doubles));
   m.histogram("solver.parallel.run_wall_ns")
       .observe(seconds_to_ns(wall_seconds));
+}
+
+void record_sched_stats(const ParallelNumericStats& stats) {
+  MetricsRegistry& m = MetricsRegistry::global();
   // The dynamic scheduler (solver/scheduler): policy consults, stealing
   // traffic, and the targeted-wakeup discipline (wakeups << completions
   // is the point — the old pool notified everyone on every completion).
@@ -372,8 +372,6 @@ void record_ooc_exec_stats(const OocExecStats& stats) {
   m.counter("solver.ooc.policy_admissions").add(stats.policy_admissions);
   m.counter("solver.ooc.policy_stall_ns")
       .add(seconds_to_ns(stats.policy_stall_seconds));
-  m.counter("solver.ooc.admission_tick_rescues")
-      .add(stats.admission_tick_rescues);
 }
 
 void record_process_metrics() {

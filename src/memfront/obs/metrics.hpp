@@ -191,11 +191,14 @@ std::int64_t peak_rss_bytes();
 
 // ---- adapters: the ad-hoc stats structs -> stable metric names -------------
 
-/// solver.factor.* — one sequential or per-task numeric factorization.
+/// solver.factor.* — one numeric_factorize call.
 void record_factor_stats(const FactorStats& stats);
-/// solver.parallel.* — one tree-parallel factorization.
+/// solver.parallel.* — one parallel_numeric_factorize call.
 void record_parallel_numeric_stats(const ParallelNumericStats& stats,
                                    double wall_seconds);
+/// solver.sched.* — the tree-task scheduler of one factorization, serial
+/// (one worker) or parallel.
+void record_sched_stats(const ParallelNumericStats& stats);
 /// sim.* and sim.ooc.* — one simulated parallel factorization.
 void record_sim_result(const ParallelResult& result, double wall_seconds);
 /// cache.* — the prepared-cache counter snapshot (absolute values; this

@@ -1,8 +1,8 @@
 // Low-overhead span tracing for the real execution paths.
 //
 // The simulator always had a timeline (sim/trace.hpp); the real code —
-// the tree-parallel factorization, the serial numeric driver, the
-// prepared cache, the kernels — was a black box. This tracer gives it
+// the tree-task factorization (serial runs included), the prepared
+// cache, the kernels — was a black box. This tracer gives it
 // the same visibility at near-zero cost:
 //
 //   - RAII spans behind macros (MEMFRONT_SPAN("factor_front", node)):

@@ -77,13 +77,13 @@ constexpr index_t ooc_cb_panel_cols(index_t n) noexcept {
   return (n + kOocCbPanels - 1) / kOocCbPanels;
 }
 
-/// Real out-of-core execution (the spill path the numeric drivers run,
-/// as opposed to the OocConfig the *simulator* models). The budget is a
-/// hard admission gate over everything the factorization holds beyond
-/// the factor storage: resident contribution blocks, the live fronts,
-/// and the spill store's in-flight write buffer. Every real
-/// factorization runs on the same ledger; disabled means in core, an
-/// unlimited budget with no spill store.
+/// Real out-of-core execution (the spill path the numeric factorization
+/// runs, serial or parallel, as opposed to the OocConfig the *simulator*
+/// models). The budget is a hard admission gate over everything the
+/// factorization holds beyond the factor storage: resident contribution
+/// blocks, the live fronts, and the spill store's in-flight write
+/// buffer. Every real factorization runs on the same ledger; disabled
+/// means in core, an unlimited budget with no spill store.
 struct OocExecConfig {
   /// Open the spill store and enforce budget_doubles. Off = in core:
   /// the budget is unlimited whatever budget_doubles holds.
@@ -142,15 +142,11 @@ struct OocExecStats {
   /// the part of it during which at least one compute thread was
   /// blocked on it. 0 in synchronous mode.
   double overlap_seconds = 0;
-  /// Scheduler-policy consultations ahead of reservation admissions
-  /// (OocSchedHooks::admit) and the model stall they returned. Zero
-  /// when no scheduler hooks are installed (numeric_factor).
+  /// Reservation admissions — one per begin_node, so one per node —
+  /// and the model stall the scheduler policy returned for them
+  /// (OocSchedHooks::admit).
   index_t policy_admissions = 0;
   double policy_stall_seconds = 0;
-  /// Admission waits on the coordinator's own condition variable (the
-  /// serial driver) that ended on the safety-net tick and then found
-  /// the release epoch moved: lost wakeups. Zero on a healthy run.
-  index_t admission_tick_rescues = 0;
 };
 
 }  // namespace memfront

@@ -26,12 +26,6 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-/// Safety-net wait quantum of the coordinator's own sleepers (the serial
-/// driver): every sleeper re-examines the world at least this often, so
-/// a missed notify can delay but never wedge. A wait it ends that then
-/// finds a release counts as an admission tick rescue.
-constexpr auto kAdmissionTick = std::chrono::milliseconds(100);
-
 /// A CB's storage. Fault site and real allocation failure alike surface
 /// as kResourceExhausted naming the node, never as a raw bad_alloc.
 std::vector<double> allocate_cb(index_t node, count_t doubles) {
@@ -247,21 +241,13 @@ bool OocCoordinator::try_admit_locked(std::unique_lock<std::mutex>& lock,
       const bool io_bound =
           io_pending && charged_ - inflight_ + need <= budget_;
       if (io_bound) store_->io_wait_begin();
-      double helped = 0;
-      if (sched_hooks_.wait) {
-        // The scheduler's memory wait, where the worker helps running
-        // fronts. `seen` is read under mu_, and every later release
-        // is numbered past it: none can be missed.
-        const std::uint64_t seen = release_epoch_;
-        lock.unlock();
-        helped = sched_hooks_.wait(worker, seen);
-        lock.lock();
-      } else {
-        const std::uint64_t seen = release_epoch_;
-        if (cv_.wait_for(lock, kAdmissionTick) == std::cv_status::timeout &&
-            release_epoch_ != seen)
-          ++stats_.admission_tick_rescues;
-      }
+      // The scheduler's memory wait, where the worker helps running
+      // fronts. `seen` is read under mu_, and every later release is
+      // numbered past it: none can be missed.
+      const std::uint64_t seen = release_epoch_;
+      lock.unlock();
+      const double helped = sched_hooks_.wait(worker, seen);
+      lock.lock();
       if (io_bound) store_->io_wait_end();
       stats_.stall_seconds += seconds_since(t0) - helped;
       continue;
@@ -358,8 +344,8 @@ void OocCoordinator::begin_node(index_t node, index_t worker) {
   }
 }
 
-void OocCoordinator::assemble_child(index_t child, index_t /*worker*/,
-                                    index_t next, FrontView front,
+void OocCoordinator::assemble_child(index_t child, index_t next,
+                                    FrontView front,
                                     std::span<const index_t> positions) {
   const index_t n = tree_.ncb(child);
   std::unique_lock<std::mutex> lock(mu_);

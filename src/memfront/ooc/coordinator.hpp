@@ -32,9 +32,9 @@
 // issues between begin and end is covered by its reservation or
 // degrades to an uncharged synchronous write, so workers holding
 // memory always run to end_node and admission waits cannot deadlock —
-// collectively or cyclically. Under the parallel driver that wait is
-// the scheduler's (OocSchedHooks::wait): the waiter helps the running
-// fronts' trailing updates until a release is reported. begin_node
+// collectively or cyclically. That wait is the scheduler's
+// (OocSchedHooks::wait), at one worker as at many: the waiter helps the
+// running fronts' trailing updates until a release is reported. begin_node
 // declares the budget infeasible (structured kResourceExhausted, or a
 // recorded overrun under allow_overrun) only when nothing is
 // spillable, nothing is in flight, and no worker is mid-node.
@@ -42,10 +42,11 @@
 // In core (config.enabled false, whatever budget_doubles holds) the
 // budget is unlimited: nothing spills or streams, so begin_node
 // reserves no window beyond the front and the ledger charges exactly
-// the LIFO discipline (the serial peak equals predict_arena_peak). No
-// SpillStore, file or I/O thread exists, and the drivers install no
-// scheduler hooks. An enabled run at budget 0 is unlimited too, but
-// still streams its factor panels to disk.
+// the LIFO discipline (numeric_factorize's peak equals
+// predict_arena_peak).
+// No SpillStore, file or I/O thread exists, and the driver installs no
+// scheduler hooks, so nothing ever waits. An enabled run at budget 0 is
+// unlimited too, but still streams its factor panels to disk.
 //
 // Spill files: the store holds two files per worker, one per block
 // lifetime. File w takes worker w's CB blocks (evictions and streamed
@@ -97,9 +98,9 @@ struct NodeFactor;
 /// admission wait: it returns once a release past `seen` (read under
 /// the coordinator mutex) was reported, or the run failed, and the
 /// worker may run other fronts' work meanwhile; it returns the seconds
-/// spent on that work, which are not stall. Install both or neither.
-/// Without `wait` (the serial driver) the coordinator sleeps on its own
-/// condition variable.
+/// spent on that work, which are not stall. Install both or neither;
+/// a budgeted run must install them, as the coordinator has no wait of
+/// its own.
 struct OocSchedHooks {
   std::function<double(index_t worker, index_t node, count_t window_doubles)>
       admit;
@@ -153,8 +154,8 @@ class OocCoordinator {
   /// so its first block loads behind the current scatter.
   /// numeric_detail::factor_node calls this in the tree's child order,
   /// so where a CB lived never changes the assembled bits.
-  void assemble_child(index_t child, index_t worker, index_t next,
-                      FrontView front, std::span<const index_t> positions);
+  void assemble_child(index_t child, index_t next, FrontView front,
+                      std::span<const index_t> positions);
 
   /// Extracts and keeps node i's own CB (the Schur block of its
   /// factored front, front.n - npiv columns) under the budget: the
@@ -187,7 +188,6 @@ class OocCoordinator {
   /// Where the factor panels went; null unless config.enabled and
   /// spill_factors are both set.
   std::shared_ptr<OocFactorState> factor_state() const { return factors_; }
-  count_t budget_doubles() const { return budget_; }
 
  private:
   enum class CbState : unsigned char { kNone, kResident, kInFlight,
@@ -214,9 +214,9 @@ class OocCoordinator {
   void on_landing(SpillStore::BlockId id, index_t node, std::size_t bytes,
                   bool ok);
   void charge_locked(count_t doubles);
-  /// Numbers a release and wakes the coordinator's own sleepers; the
-  /// caller reports the returned epoch through released() once it has
-  /// dropped mu_.
+  /// Numbers a release and wakes assemble_child's waiters on a spilled
+  /// CB's block list; the caller reports the returned epoch through
+  /// released() once it has dropped mu_.
   std::uint64_t note_release_locked();
   void released(std::uint64_t epoch);
   index_t cb_file(index_t worker) const { return worker; }
@@ -231,8 +231,8 @@ class OocCoordinator {
   std::shared_ptr<OocFactorState> factors_;
   OocSchedHooks sched_hooks_;
 
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
+  std::mutex mu_;
+  std::condition_variable cv_;       // a spilled CB's block list landed
   std::vector<Cb> cbs_;
   std::vector<index_t> residency_;   // resident CBs in push order
   std::size_t spill_cursor_ = 0;     // kRoundRobin eviction start

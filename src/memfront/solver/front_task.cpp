@@ -17,7 +17,7 @@ namespace {
 
 /// Assembles, factors and extracts node i into `front` (admitted by the
 /// caller); the children come from the coordinator.
-FrontResult process_front(const FrontContext& ctx, index_t i, index_t worker,
+FrontResult process_front(const FrontContext& ctx, index_t i,
                           OocCoordinator& coord, FrontWorkspace& ws,
                           FrontView front, NodeFactor& out,
                           std::vector<index_t>& row_of) {
@@ -46,7 +46,7 @@ FrontResult process_front(const FrontContext& ctx, index_t i, index_t worker,
         const index_t r = cr[k];
         if (r < fc) continue;  // assembled at an earlier node
         const index_t lr = ws.local[static_cast<std::size_t>(r)];
-        check(lr != kNone, "numeric_factorize: entry outside front");
+        check(lr != kNone, "numeric factorization: entry outside front");
         front.at(lr, lc) += cv[k];
         // Symmetric storage keeps the full square in sync; the mirror of a
         // pivot-block entry arrives via the other pivot's column.
@@ -59,7 +59,7 @@ FrontResult process_front(const FrontContext& ctx, index_t i, index_t worker,
           const index_t x = rr[k];
           if (x < fc + npiv) continue;  // pivot block handled above
           const index_t lx = ws.local[static_cast<std::size_t>(x)];
-          check(lx != kNone, "numeric_factorize: row entry outside front");
+          check(lx != kNone, "numeric factorization: row entry outside front");
           front.at(lc, lx) += rv[k];
         }
       }
@@ -83,8 +83,7 @@ FrontResult process_front(const FrontContext& ctx, index_t i, index_t worker,
             ws.local[static_cast<std::size_t>(
                 child_rows[static_cast<std::size_t>(tree.npiv(child) + k)])];
       coord.assemble_child(
-          child, worker,
-          c + 1 < children.size() ? children[c + 1] : kNone, front,
+          child, c + 1 < children.size() ? children[c + 1] : kNone, front,
           ws.positions);
     }
   }
@@ -165,8 +164,7 @@ FrontResult factor_node(const FrontContext& ctx, index_t i, index_t worker,
                         NodeFactor& out, std::vector<index_t>& row_of) {
   coord.begin_node(i, worker);
   const FrontView front = ws.acquire_front(ctx.tree->nfront(i));
-  const FrontResult fr =
-      process_front(ctx, i, worker, coord, ws, front, out, row_of);
+  const FrontResult fr = process_front(ctx, i, coord, ws, front, out, row_of);
   coord.store_cb(i, worker, front, ctx.tree->npiv(i));  // no-op without a CB
   coord.end_node(i, out, worker);
   return fr;

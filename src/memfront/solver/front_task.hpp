@@ -1,4 +1,4 @@
-// Shared per-node engine of the numeric factorization drivers.
+// Per-node engine of the numeric factorization driver.
 //
 // One call of factor_node does everything a single assembly-tree node
 // needs — admit its front on the coordinator's ledger, zero the front
@@ -7,9 +7,10 @@
 // (blocked or reference) partial factorization, record the pivot row
 // swaps, extract the factor panel, keep the contribution block and
 // release the front. Every CB lives in the OocCoordinator, in core (an
-// unlimited budget) and under a budget alike. The sequential driver
-// calls it down the postorder; the parallel driver calls it from
-// subtree and upper-part tasks with per-worker workspaces.
+// unlimited budget) and under a budget alike. The tree-task driver
+// (solver/parallel_numeric) calls it from subtree and upper-part tasks
+// with per-worker workspaces; its one-worker run, numeric_factorize,
+// thereby calls it down the postorder.
 #pragma once
 
 #include <algorithm>
@@ -39,7 +40,7 @@ struct FrontWorkspace {
   std::vector<index_t> local;     // global row -> front-local row, kNone-init
   std::vector<index_t> positions;  // child CB scatter map scratch
   /// Helpers for the blocked kernels' large trailing updates (the
-  /// parallel driver's worker pool); null runs every front alone.
+  /// driver's scheduler); null runs every front alone.
   FrontTeam* team = nullptr;
 
   void init(index_t num_cols) {
@@ -56,7 +57,7 @@ struct FrontWorkspace {
   }
 };
 
-/// Per-node numeric-robustness report the drivers fold into FactorStats.
+/// Per-node numeric-robustness report the driver folds into FactorStats.
 struct FrontResult {
   index_t perturbations = 0;
   index_t exact_zero_pivots = 0;

@@ -1,13 +1,14 @@
-// Numeric multifrontal factorization (sequential).
+// Numeric multifrontal factorization: the types both entry points
+// return, and the sequential entry point.
 //
-// Follows the analysis traversal with the paper's three storage areas —
-// factors / CB stack / current front — where every contribution block
-// lives in the OocCoordinator's ledger (in core is its unlimited
-// budget), the front is a reused scratch buffer, and the elimination
-// runs the blocked kernels of frontal/kernels.hpp. Two peaks are
-// measured: the model-entry stack peak (compared against the analysis
-// prediction, tree_memory) and the ledger's physical peak in doubles
-// (in core, checked equal to predict_arena_peak).
+// numeric_factorize follows the analysis traversal with the paper's
+// three storage areas — factors / CB stack / current front — where
+// every contribution block lives in the OocCoordinator's ledger (in core
+// is its unlimited budget), the front is a reused scratch buffer, and
+// the elimination runs the blocked kernels of frontal/kernels.hpp. It is
+// the one-worker run of the tree-task driver (solver/parallel_numeric):
+// one whole-subtree task per tree root. In core, the ledger's physical
+// peak is checked equal to predict_arena_peak of the traversal.
 #pragma once
 
 #include <memory>
@@ -47,7 +48,6 @@ struct NodeFactor {
 };
 
 struct FactorStats {
-  count_t measured_stack_peak = 0;  // entries (model units)
   count_t factor_entries = 0;
   index_t perturbations = 0;
   /// Pivots that were exactly zero before static perturbation — the
@@ -60,9 +60,9 @@ struct FactorStats {
   double pivot_growth_max = 0.0;
   /// High-water mark of the coordinator's ledger — stacked CBs plus
   /// live fronts (plus in-flight writes under ooc.enabled) — in doubles
-  /// of full-square storage. In core the sequential driver checks it
-  /// equals predict_arena_peak(tree, traversal) exactly; under a budget
-  /// it is ooc.charged_peak_doubles.
+  /// of full-square storage. In core numeric_factorize checks it equals
+  /// predict_arena_peak(tree, traversal) exactly; under a budget it is
+  /// ooc.charged_peak_doubles.
   count_t arena_peak_doubles = 0;
   /// Real out-of-core accounting (all zero for in-core runs).
   OocExecStats ooc{};
@@ -81,7 +81,8 @@ struct Factorization {
   std::shared_ptr<OocFactorState> ooc_factors;
 };
 
-/// Requires analysis.structure and values on analysis.permuted.
+/// Requires analysis.structure and values on analysis.permuted. Runs on
+/// the calling thread.
 Factorization numeric_factorize(const Analysis& analysis,
                                 const NumericOptions& options = {});
 

@@ -7,6 +7,7 @@
 #include <optional>
 #include <string>
 
+#include "memfront/frontal/arena.hpp"
 #include "memfront/obs/metrics.hpp"
 #include "memfront/obs/span_tracer.hpp"
 #include "memfront/ooc/coordinator.hpp"
@@ -142,17 +143,21 @@ void worker_loop(Runtime& rt, unsigned w) {
   }
 }
 
-}  // namespace
-
-Factorization parallel_numeric_factorize(const Analysis& analysis,
-                                         const ParallelNumericOptions& options,
-                                         ParallelNumericStats* stats) {
+/// The tree-task driver behind both entry points: maps the tree onto
+/// options.nprocs with options.subtree_options, runs the tasks on
+/// options.nthreads workers over one ledger, and records the scheduler's
+/// counters (solver.sched.*). `out` receives the scheduler's outcome,
+/// `wall_seconds` the workers' wall clock.
+Factorization factorize_tree(const Analysis& analysis,
+                             const ParallelNumericOptions& options,
+                             ParallelNumericStats& out, double& wall_seconds) {
   check(analysis.structure.has_value(),
-        "parallel_numeric_factorize: analysis ran without structure");
+        "numeric factorization: analysis ran without structure");
   check(analysis.permuted.has_value() && analysis.permuted->has_values(),
-        "parallel_numeric_factorize: matrix has no values");
+        "numeric factorization: matrix has no values");
   require(!analysis.permuted->has_nonfinite_values(),
-          "parallel_numeric_factorize: matrix contains NaN/Inf values");
+          "numeric factorization: matrix contains NaN/Inf values");
+  // Denominator of the pivot-growth report; one O(nnz) scan.
   const double amax = analysis.permuted->max_abs_value();
   const AssemblyTree& tree = analysis.tree;
   const bool sym = tree.symmetric();
@@ -171,6 +176,7 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   for (index_t k = 0; k < n; ++k)
     fact.row_of[static_cast<std::size_t>(k)] = k;
 
+  // Transposed matrix for unsymmetric row assembly.
   std::optional<CscMatrix> at;
   if (!sym) at = analysis.permuted->transpose();
 
@@ -230,11 +236,11 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
         workers);
   // Workers drained; surface the first failure with the taxonomy
   // guaranteed (non-taxonomy exceptions wrap as kWorkerFailure).
-  if (rt.error) rethrow_structured(rt.error, "parallel_numeric_factorize");
+  if (rt.error) rethrow_structured(rt.error, "numeric factorization");
   check(sched.stats().completions ==
             static_cast<std::uint64_t>(num_subtrees) + rt.upper_nodes.size(),
-        "parallel_numeric_factorize: tasks left behind");
-  const double wall_seconds =
+        "numeric factorization: tasks left behind");
+  wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_t0)
           .count();
 
@@ -246,8 +252,6 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   fact.stats.arena_peak_doubles = ooc.charged_peak_doubles;
   if (options.ooc.enabled) fact.stats.ooc = ooc;
   fact.ooc_factors = coord.factor_state();
-  ParallelNumericStats local_stats;
-  ParallelNumericStats& out = stats ? *stats : local_stats;
   out.workers = workers;
   out.num_subtrees = num_subtrees;
   out.num_upper_nodes = static_cast<index_t>(rt.upper_nodes.size());
@@ -255,6 +259,45 @@ Factorization parallel_numeric_factorize(const Analysis& analysis,
   out.policy = sched.policy_name();
   out.steal = options.sched.steal;
   out.sched = sched.stats();
+  obs::record_sched_stats(out);
+  return fact;
+}
+
+}  // namespace
+
+Factorization numeric_factorize(const Analysis& analysis,
+                                const NumericOptions& options) {
+  MEMFRONT_SPAN("numeric_factorize");
+  // The sequential postorder is the one-worker schedule: on one
+  // processor at balance 1 the Geist-Ng cut never splits a tree root,
+  // and without the memory refinement every root becomes one
+  // whole-subtree task that runs its nodes in traversal order. The lone
+  // worker takes the roots largest first, but a root leaves no CB
+  // behind, so the ledger peak is still the traversal's.
+  ParallelNumericOptions one;
+  one.nthreads = 1;
+  one.nprocs = 1;
+  one.subtree_options = {.balance_factor = 1.0, .memory_balance_factor = 0.0};
+  one.kernel = options.kernel;
+  one.ooc = options.ooc;
+  ParallelNumericStats stats;
+  double wall_seconds = 0;
+  Factorization fact = factorize_tree(analysis, one, stats, wall_seconds);
+  if (!options.ooc.enabled)
+    check(fact.stats.arena_peak_doubles ==
+              predict_arena_peak(analysis.tree, analysis.traversal),
+          "numeric_factorize: ledger peak diverged from the predicted peak");
+  obs::record_factor_stats(fact.stats);
+  return fact;
+}
+
+Factorization parallel_numeric_factorize(const Analysis& analysis,
+                                         const ParallelNumericOptions& options,
+                                         ParallelNumericStats* stats) {
+  ParallelNumericStats local_stats;
+  ParallelNumericStats& out = stats ? *stats : local_stats;
+  double wall_seconds = 0;
+  Factorization fact = factorize_tree(analysis, options, out, wall_seconds);
   obs::record_parallel_numeric_stats(out, wall_seconds);
   return fact;
 }

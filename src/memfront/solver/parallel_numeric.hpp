@@ -13,11 +13,13 @@
 // per-worker memory and load through a RealPolicyHost. Determinism mode
 // (sched.steal = false) reproduces the static LPT schedule exactly.
 //
-// The result is bit-identical to the sequential driver under any
-// schedule: every node is assembled and eliminated by exactly one task,
-// the child extend-add order is the tree's child order, and the kernels
-// are shared — so the parallel factorization equals numeric_factorize()
-// output bit for bit at any worker count, stealing on or off.
+// This is the only factorization driver: numeric_factorize() is its
+// one-worker run, mapped so that every tree root is one whole-subtree
+// task. The result is bit-identical under any schedule: every node is
+// assembled and eliminated by exactly one task, the child extend-add
+// order is the tree's child order, and the kernels are shared — so the
+// parallel factorization equals numeric_factorize() output bit for bit
+// at any worker count, stealing on or off.
 #pragma once
 
 #include "memfront/solver/numeric_factor.hpp"

@@ -23,7 +23,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
       .count();
 }
 
-SchedConfig sched_config_for(RealPolicy p, count_t ooc_budget) {
+SchedConfig sched_config_for(RealPolicy p) {
   SchedConfig cfg;
   if (p == RealPolicy::kMemory) {
     cfg.slave_strategy = SlaveStrategy::kMemoryImproved;
@@ -32,7 +32,6 @@ SchedConfig sched_config_for(RealPolicy p, count_t ooc_budget) {
   // The spill-aware branch of Algorithm 2 reads TaskQuery::spill_budget,
   // which the scheduler sets directly; no OocAwarePolicy decorator (that
   // one routes admission to the *simulated* OocEngine).
-  (void)ooc_budget;
   return cfg;
 }
 
@@ -156,8 +155,8 @@ NumericScheduler::NumericScheduler(
   if (options_.policy_override) {
     policy_ = options_.policy_override;
   } else {
-    owned_policy_ = make_policy(
-        sched_config_for(options_.policy, ooc_budget_), host_, nullptr);
+    owned_policy_ = make_policy(sched_config_for(options_.policy), host_,
+                                nullptr);
     policy_ = owned_policy_.get();
   }
   policy_reads_host_ = options_.policy == RealPolicy::kMemory ||
@@ -239,7 +238,6 @@ void NumericScheduler::refresh_announced_locked(double now) {
       for (const Task& t : deques_[q])
         if (t.kind == Task::Kind::kUpper)
           pending_master = std::max(pending_master, task_window(t));
-      ws.pending_master = pending_master;
       ws.announced.pending_master.set(now, pending_master);
       ws.announced.subtree_peak.set(now, ws.running_subtree_peak);
       ws.announced.memory.set(
@@ -639,11 +637,6 @@ void NumericScheduler::fail() {
   failed_ = true;
   if (waiting_ > 0) notify_all_locked();
   wake_locked(Sleeper::Kind::kMemory, kEveryone);
-}
-
-bool NumericScheduler::failed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failed_;
 }
 
 double NumericScheduler::consult_admission(index_t w, index_t node,

@@ -33,8 +33,8 @@
 //
 // Bitwise identity under any of this: a node is assembled and
 // eliminated by exactly one task, the extend-add order within a node is
-// the tree's child order, and the kernels are shared with the serial
-// driver — scheduling moves tasks between workers and reorders
+// the tree's child order, and every task runs the same kernels —
+// scheduling moves tasks between workers and reorders
 // independent tasks, which reorders *writes to disjoint storage* only.
 // Completions use targeted wakeups: a sleeper is notified only when a
 // task became stealable/ready or the run drained or failed, never on
@@ -161,7 +161,6 @@ class RealPolicyHost final : public PolicyHost {
     count_t queued_flops = 0;   ///< sum over the worker's deque
     count_t running_flops = 0;  ///< the task being executed
     count_t running_subtree_peak = 0;
-    count_t pending_master = 0;  ///< largest queued upper window
     count_t observed_peak = 0;
     /// In-flight OOC reservations, mirrored lock-free from the
     /// coordinator's charge/release path; folded into announced memory
@@ -229,7 +228,6 @@ class NumericScheduler final : public FrontTeam {
 
   /// Poisons the pool: every next_task returns false.
   void fail();
-  bool failed() const;
 
   /// SchedulerPolicy::admit consultation for an OOC reservation of
   /// `window_doubles` on worker w — the coordinator's admission
@@ -325,7 +323,7 @@ class NumericScheduler final : public FrontTeam {
   bool policy_reads_host_ = false;
   count_t ooc_budget_ = 0;
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::vector<Sleeper> sleepers_;          ///< one per worker
   std::vector<std::vector<Task>> deques_;  ///< back = hottest
   std::vector<index_t> shared_ready_;      ///< static mode upper LIFO

@@ -18,6 +18,7 @@
 
 #include "memfront/core/experiment.hpp"
 #include "memfront/frontal/arena.hpp"
+#include "memfront/obs/metrics.hpp"
 #include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/solve.hpp"
 #include "memfront/sparse/problems.hpp"
@@ -44,6 +45,14 @@ fault::Plan chaos_plan(std::uint64_t seed) {
                         {"coordinator.cb_alloc", 200},
                         {"worker.subtree_exception", 7},
                         {"worker.solve_exception", 7}}};
+}
+
+/// The scheduler's lost wakeups so far in this process: every completed
+/// factorization adds its count to this metric.
+std::int64_t tick_rescues() {
+  const obs::Counter* c =
+      obs::MetricsRegistry::global().find_counter("solver.sched.tick_rescues");
+  return c == nullptr ? 0 : c->value();
 }
 
 struct RunResult {
@@ -129,6 +138,7 @@ TEST_P(ChaosHarness, EverySeedIsBitIdenticalOrCleanlyStructured) {
   opt.symmetric = ldlt;
   const Analysis analysis = analyze(p.matrix, opt);
   std::vector<double> b(static_cast<std::size_t>(p.matrix.nrows()), 1.0);
+  const std::int64_t rescues = tick_rescues();
 
   const RunResult baseline = run_once(analysis, b, workers);
   ASSERT_EQ(baseline.code, ErrorCode::kOk) << "fault-free baseline failed";
@@ -167,6 +177,9 @@ TEST_P(ChaosHarness, EverySeedIsBitIdenticalOrCleanlyStructured) {
   const RunResult after = run_once(analysis, b, workers);
   ASSERT_EQ(after.code, ErrorCode::kOk);
   expect_bitwise_identical(after, baseline, "post-sweep rerun");
+  // Under faults and failures alike, no sleeper needed the safety-net
+  // tick to see its wakeup.
+  EXPECT_EQ(tick_rescues(), rescues) << "a scheduler wakeup was lost";
 }
 
 std::vector<ChaosCase> chaos_cases() {
@@ -345,6 +358,7 @@ TEST_P(RealOocDiskChaos, EverySpillScheduleIsBitIdenticalOrStructured) {
   aopt.ordering = OrderingKind::kNestedDissection;
   const Analysis analysis = analyze(p.matrix, aopt);
   std::vector<double> b(static_cast<std::size_t>(p.matrix.nrows()), 1.0);
+  const std::int64_t rescues = tick_rescues();
 
   const Factorization incore = numeric_factorize(analysis);
   ParallelNumericOptions popt;
@@ -418,6 +432,8 @@ TEST_P(RealOocDiskChaos, EverySpillScheduleIsBitIdenticalOrStructured) {
   const RunResult after = run_ooc();
   ASSERT_EQ(after.code, ErrorCode::kOk);
   expect_bitwise_identical(after, baseline, "post-sweep rerun");
+  // Every memory wait of the budgeted runs saw its release promptly.
+  EXPECT_EQ(tick_rescues(), rescues) << "a memory waiter missed a release";
 }
 
 INSTANTIATE_TEST_SUITE_P(RealSpillPath, RealOocDiskChaos,

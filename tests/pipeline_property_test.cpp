@@ -7,6 +7,7 @@
 #include <cmath>
 
 #include "memfront/core/experiment.hpp"
+#include "memfront/frontal/arena.hpp"
 #include "memfront/solver/multifrontal.hpp"
 #include "memfront/sparse/coo.hpp"
 #include "memfront/support/rng.hpp"
@@ -102,14 +103,15 @@ TEST_P(PipelineProperty, SolveAndSimulate) {
                  << c.disconnected << " dense=" << c.dense_row << " ord="
                  << ordering_name(c.ordering) << " seed=" << c.seed);
 
-    // Numeric path: residual + stack parity.
+    // Numeric path: residual + ledger peak parity.
     AnalysisOptions opt;
     opt.ordering = c.ordering;
     opt.symmetric = c.symmetric;
     MultifrontalSolver solver(a, opt);
     solver.factorize();
-    EXPECT_EQ(solver.factorization().stats.measured_stack_peak,
-              solver.analysis().memory.peak);
+    EXPECT_EQ(solver.factorization().stats.arena_peak_doubles,
+              predict_arena_peak(solver.analysis().tree,
+                                 solver.analysis().traversal));
     std::vector<double> xtrue(static_cast<std::size_t>(n));
     Rng vr(c.seed + 1);
     for (double& v : xtrue) v = vr.real(-1, 1);

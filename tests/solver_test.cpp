@@ -3,6 +3,7 @@
 #include <cmath>
 #include <tuple>
 
+#include "memfront/frontal/arena.hpp"
 #include "memfront/solver/multifrontal.hpp"
 #include "memfront/sparse/generators.hpp"
 #include "memfront/sparse/problems.hpp"
@@ -71,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
              ordering_name(std::get<1>(info.param));
     });
 
-TEST(Solver, MeasuredStackMatchesAnalysisPrediction) {
+TEST(Solver, LedgerPeakMatchesPrediction) {
   for (ProblemId pid : {ProblemId::kXenon2, ProblemId::kMsdoor,
                         ProblemId::kTwotone}) {
     const Problem p = make_problem(pid, 0.2);
@@ -80,8 +81,9 @@ TEST(Solver, MeasuredStackMatchesAnalysisPrediction) {
     opt.symmetric = p.symmetric;
     MultifrontalSolver solver(p.matrix, opt);
     solver.factorize();
-    EXPECT_EQ(solver.factorization().stats.measured_stack_peak,
-              solver.analysis().memory.peak)
+    EXPECT_EQ(solver.factorization().stats.arena_peak_doubles,
+              predict_arena_peak(solver.analysis().tree,
+                                 solver.analysis().traversal))
         << problem_name(pid);
   }
 }
