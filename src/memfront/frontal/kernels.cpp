@@ -16,9 +16,7 @@ namespace {
 constexpr index_t kPanelWidth = 48;
 constexpr index_t kRowTile = 128;
 constexpr index_t kColTile = 240;
-// Columns of one register tile; rhs_gemm_at_sub blocks kMicroRows x
-// kMicroCols.
-constexpr index_t kMicroRows = 4;
+// Columns of one register tile.
 constexpr index_t kMicroCols = 4;
 // Column-block width of a shared trailing update. A multiple of the
 // register tile's width, so a block's tiles are exactly the single
@@ -38,43 +36,113 @@ typedef double Vec4 __attribute__((vector_size(32)));
 typedef double Vec8 __attribute__((vector_size(64)));
 static_assert(sizeof(Vec2) == 16 && sizeof(Vec4) == 32 && sizeof(Vec8) == 64);
 
-/// Rows of a register tile: two vectors of V.
+/// Lanes of one V; plain double is the one-lane case.
 template <typename V>
-constexpr index_t kTileRows = 2 * sizeof(V) / sizeof(double);
+constexpr index_t kLanes = sizeof(V) / sizeof(double);
 
-/// Register tile: C(0:T, 0:4) -= A(0:T, 0:kb) · B(0:kb, 0:4), T the tile
-/// rows of V. Each lane is one C element with its own accumulator chain,
-/// `c = c - a*w` in increasing k (a product, then a difference:
-/// contraction is off): the scalar rank-1 loop's sequence. Loads and
-/// stores are unaligned, since a front column starts anywhere.
+/// Rows of a schur_update register tile: two vectors of V.
 template <typename V>
+constexpr index_t kTileRows = 2 * kLanes<V>;
+
+/// The next narrower type: an RHS kernel's lane tail runs on it, down to
+/// plain doubles.
+template <typename V>
+struct Narrower;
+template <>
+struct Narrower<Vec8> {
+  using type = Vec4;
+};
+template <>
+struct Narrower<Vec4> {
+  using type = Vec2;
+};
+template <>
+struct Narrower<Vec2> {
+  using type = double;
+};
+
+// The register tile below is straight-line code over its NV vectors
+// from the start: recursive always-inline templates and if-constexpr
+// chains instead of loops, with every accumulator access written on the
+// array itself. (A loop over the vectors, unrolled late, or a helper
+// taking an accumulator's address, schedules differently; this way
+// schur_update compiles to the code it had before the tile took NV as a
+// parameter.)
+
+/// v[0:NV] <- the NV vectors of V at p.
+template <typename V, index_t NV, index_t I = 0>
+[[gnu::always_inline]] inline void load_vecs(V (&v)[NV], const double* p) {
+  if constexpr (I < NV) {
+    std::memcpy(&v[I], p + I * kLanes<V>, sizeof(V));
+    load_vecs<V, NV, I + 1>(v, p);
+  }
+}
+
+/// acc[j][0:NV] -= x[0:NV] * w, w splat into every lane.
+template <typename V, index_t NC, index_t NV, index_t I = 0>
+[[gnu::always_inline]] inline void sub_scaled(V (&acc)[NC][NV], index_t j,
+                                              const V (&x)[NV], double w) {
+  if constexpr (I < NV) {
+    acc[j][I] -= x[I] * w;
+    sub_scaled<V, NC, NV, I + 1>(acc, j, x, w);
+  }
+}
+
+/// Register tile: C(0:NV·L, 0:NC) -= A(0:NV·L, 0:kb) · B(0:kb, 0:NC), L
+/// the lanes of V, A and C column-major, B(k, j) at b[k·bk + j·bj]. Each
+/// lane is one C element with its own accumulator chain, `c = c - a*w`
+/// in increasing k (a product, then a difference: contraction is off):
+/// the scalar rank-1 loop's sequence. Loads and stores are unaligned,
+/// since a front column starts anywhere.
+template <typename V, index_t NV, index_t NC>
 [[gnu::always_inline]] inline void micro_tile(index_t kb, const double* a,
                                               index_t lda, const double* b,
-                                              index_t ldb, double* c,
-                                              index_t ldc) {
-  constexpr index_t L = sizeof(V) / sizeof(double);
-  V acc[kMicroCols][2];
+                                              index_t bk, index_t bj,
+                                              double* c, index_t ldc) {
+  static_assert(NV == 1 || NV == 2 || NV == 4 || NV == 8);
+  constexpr index_t L = kLanes<V>;
+  V acc[NC][NV];
 #pragma GCC unroll 4
-  for (index_t j = 0; j < kMicroCols; ++j) {
+  for (index_t j = 0; j < NC; ++j) {
     std::memcpy(&acc[j][0], c + stride(j, ldc), sizeof(V));
-    std::memcpy(&acc[j][1], c + stride(j, ldc) + L, sizeof(V));
+    if constexpr (NV > 1)
+      std::memcpy(&acc[j][1], c + stride(j, ldc) + L, sizeof(V));
+    if constexpr (NV > 2) {
+      std::memcpy(&acc[j][2], c + stride(j, ldc) + 2 * L, sizeof(V));
+      std::memcpy(&acc[j][3], c + stride(j, ldc) + 3 * L, sizeof(V));
+    }
+    if constexpr (NV > 4) {
+      std::memcpy(&acc[j][4], c + stride(j, ldc) + 4 * L, sizeof(V));
+      std::memcpy(&acc[j][5], c + stride(j, ldc) + 5 * L, sizeof(V));
+      std::memcpy(&acc[j][6], c + stride(j, ldc) + 6 * L, sizeof(V));
+      std::memcpy(&acc[j][7], c + stride(j, ldc) + 7 * L, sizeof(V));
+    }
   }
   const double* ak = a;
   for (index_t k = 0; k < kb; ++k, ak += lda) {
-    V av[2];
-    std::memcpy(&av[0], ak, sizeof(V));
-    std::memcpy(&av[1], ak + L, sizeof(V));
+    V av[NV];
+    load_vecs(av, ak);
 #pragma GCC unroll 4
-    for (index_t j = 0; j < kMicroCols; ++j) {
-      const double w = b[stride(j, ldb) + k];  // splat into every lane
-      acc[j][0] -= av[0] * w;
-      acc[j][1] -= av[1] * w;
+    for (index_t j = 0; j < NC; ++j) {
+      const double w = b[stride(j, bj) + stride(k, bk)];  // splat
+      sub_scaled(acc, j, av, w);
     }
   }
 #pragma GCC unroll 4
-  for (index_t j = 0; j < kMicroCols; ++j) {
+  for (index_t j = 0; j < NC; ++j) {
     std::memcpy(c + stride(j, ldc), &acc[j][0], sizeof(V));
-    std::memcpy(c + stride(j, ldc) + L, &acc[j][1], sizeof(V));
+    if constexpr (NV > 1)
+      std::memcpy(c + stride(j, ldc) + L, &acc[j][1], sizeof(V));
+    if constexpr (NV > 2) {
+      std::memcpy(c + stride(j, ldc) + 2 * L, &acc[j][2], sizeof(V));
+      std::memcpy(c + stride(j, ldc) + 3 * L, &acc[j][3], sizeof(V));
+    }
+    if constexpr (NV > 4) {
+      std::memcpy(c + stride(j, ldc) + 4 * L, &acc[j][4], sizeof(V));
+      std::memcpy(c + stride(j, ldc) + 5 * L, &acc[j][5], sizeof(V));
+      std::memcpy(c + stride(j, ldc) + 6 * L, &acc[j][6], sizeof(V));
+      std::memcpy(c + stride(j, ldc) + 7 * L, &acc[j][7], sizeof(V));
+    }
   }
 }
 
@@ -119,13 +187,104 @@ template <typename V>
           const double* at = a + (ic + i0);
           double* ct = c + stride(jc + j0, ldc) + (ic + i0);
           if (mr == T && nr == kMicroCols)
-            micro_tile<V>(kb, at, lda, bt, ldb, ct, ldc);
+            micro_tile<V, 2, kMicroCols>(kb, at, lda, bt, 1, ldb, ct, ldc);
           else
             micro_edge<T>(mr, nr, kb, at, lda, bt, ldb, ct, ldc);
         }
       }
     }
   }
+}
+
+/// One NC-column group of rhs_update over the lanes [i, m): chunks of NV
+/// vectors of V while they fit, then one chunk of each halved count,
+/// then the tail on the narrower types, down to single doubles. A lane
+/// count of 4 thus runs whole 4-lane vectors even in the 8-lane kernel.
+template <typename V, index_t NV, index_t NC>
+[[gnu::always_inline]] inline void rhs_lanes(index_t m, index_t i, index_t kb,
+                                             const double* a, index_t lda,
+                                             const double* b, index_t bk,
+                                             index_t bj, double* c,
+                                             index_t ldc) {
+  constexpr index_t L = kLanes<V>;
+  for (; i + NV * L <= m; i += NV * L)
+    micro_tile<V, NV, NC>(kb, a + i, lda, b, bk, bj, c + i, ldc);
+  if constexpr (NV > 1)
+    rhs_lanes<V, NV / 2, NC>(m, i, kb, a, lda, b, bk, bj, c, ldc);
+  else if constexpr (L > 1)
+    rhs_lanes<typename Narrower<V>::type, 1, NC>(m, i, kb, a, lda, b, bk, bj,
+                                                 c, ldc);
+}
+
+/// rhs_update over vectors V: kMicroCols-column groups (one column at a
+/// time for the ragged end), each running every lane chunk over the
+/// whole depth. A one-column C runs eight vectors per tile instead, so
+/// a single right-hand side still keeps eight chains going.
+template <typename V>
+[[gnu::always_inline]] inline void rhs_tiles(index_t m, index_t n, index_t kb,
+                                             const double* a, index_t lda,
+                                             const double* b, index_t bk,
+                                             index_t bj, double* c,
+                                             index_t ldc) {
+  if (m <= 0 || n <= 0 || kb <= 0) return;
+  if (n == 1) {
+    rhs_lanes<V, 8, 1>(m, 0, kb, a, lda, b, bk, bj, c, ldc);
+    return;
+  }
+  index_t j = 0;
+  for (; j + kMicroCols <= n; j += kMicroCols)
+    rhs_lanes<V, 2, kMicroCols>(m, 0, kb, a, lda, b + stride(j, bj), bk, bj,
+                                c + stride(j, ldc), ldc);
+  for (; j < n; ++j)
+    rhs_lanes<V, 2, 1>(m, 0, kb, a, lda, b + stride(j, bj), bk, bj,
+                       c + stride(j, ldc), ldc);
+}
+
+/// One chunk of rhs_row: NV vectors of V held across the whole t loop.
+template <typename V, index_t NV>
+[[gnu::always_inline]] inline void row_chunk(index_t n, const double* w,
+                                             index_t wt, const double* x,
+                                             index_t ldx, double* y,
+                                             const double* pivot) {
+  constexpr index_t L = kLanes<V>;
+  V acc[NV];
+#pragma GCC unroll 8
+  for (index_t v = 0; v < NV; ++v)
+    std::memcpy(&acc[v], y + v * L, sizeof(V));
+  for (index_t t = 0; t < n; ++t) {
+    const double s = w[stride(t, wt)];  // splat
+    const double* xt = x + stride(t, ldx);
+#pragma GCC unroll 8
+    for (index_t v = 0; v < NV; ++v) {
+      V xv;
+      std::memcpy(&xv, xt + v * L, sizeof(V));
+      acc[v] -= s * xv;
+    }
+  }
+  if (pivot != nullptr) {
+    const double d = *pivot;
+#pragma GCC unroll 8
+    for (index_t v = 0; v < NV; ++v) acc[v] /= d;
+  }
+#pragma GCC unroll 8
+  for (index_t v = 0; v < NV; ++v)
+    std::memcpy(y + v * L, &acc[v], sizeof(V));
+}
+
+/// rhs_row over the lanes [i, k), chunked like rhs_lanes.
+template <typename V, index_t NV>
+[[gnu::always_inline]] inline void row_lanes(index_t k, index_t i, index_t n,
+                                             const double* w, index_t wt,
+                                             const double* x, index_t ldx,
+                                             double* y, const double* pivot) {
+  constexpr index_t L = kLanes<V>;
+  for (; i + NV * L <= k; i += NV * L)
+    row_chunk<V, NV>(n, w, wt, x + i, ldx, y + i, pivot);
+  if constexpr (NV > 1)
+    row_lanes<V, NV / 2>(k, i, n, w, wt, x, ldx, y, pivot);
+  else if constexpr (L > 1)
+    row_lanes<typename Narrower<V>::type, 1>(k, i, n, w, wt, x, ldx, y,
+                                             pivot);
 }
 
 // One instantiation per vector width; the wider two are compiled for
@@ -136,6 +295,17 @@ void schur_update_v2(index_t m, index_t n, index_t kb, const double* a,
   schur_tiles<Vec2>(m, n, kb, a, lda, b, ldb, c, ldc);
 }
 
+void rhs_update_v2(index_t m, index_t n, index_t kb, const double* a,
+                   index_t lda, const double* b, index_t bk, index_t bj,
+                   double* c, index_t ldc) {
+  rhs_tiles<Vec2>(m, n, kb, a, lda, b, bk, bj, c, ldc);
+}
+
+void rhs_row_v2(index_t k, index_t n, const double* w, index_t wt,
+                const double* x, index_t ldx, double* y, const double* pivot) {
+  row_lanes<Vec2, 8>(k, 0, n, w, wt, x, ldx, y, pivot);
+}
+
 #if defined(__x86_64__) || defined(__i386__)
 [[gnu::target("avx2")]] void schur_update_v4(index_t m, index_t n, index_t kb,
                                              const double* a, index_t lda,
@@ -144,25 +314,57 @@ void schur_update_v2(index_t m, index_t n, index_t kb, const double* a,
   schur_tiles<Vec4>(m, n, kb, a, lda, b, ldb, c, ldc);
 }
 
+[[gnu::target("avx2")]] void rhs_update_v4(index_t m, index_t n, index_t kb,
+                                           const double* a, index_t lda,
+                                           const double* b, index_t bk,
+                                           index_t bj, double* c,
+                                           index_t ldc) {
+  rhs_tiles<Vec4>(m, n, kb, a, lda, b, bk, bj, c, ldc);
+}
+
+[[gnu::target("avx2")]] void rhs_row_v4(index_t k, index_t n, const double* w,
+                                        index_t wt, const double* x,
+                                        index_t ldx, double* y,
+                                        const double* pivot) {
+  row_lanes<Vec4, 8>(k, 0, n, w, wt, x, ldx, y, pivot);
+}
+
 [[gnu::target("avx512f")]] void schur_update_v8(
     index_t m, index_t n, index_t kb, const double* a, index_t lda,
     const double* b, index_t ldb, double* c, index_t ldc) {
   schur_tiles<Vec8>(m, n, kb, a, lda, b, ldb, c, ldc);
+}
+
+[[gnu::target("avx512f")]] void rhs_update_v8(index_t m, index_t n, index_t kb,
+                                              const double* a, index_t lda,
+                                              const double* b, index_t bk,
+                                              index_t bj, double* c,
+                                              index_t ldc) {
+  rhs_tiles<Vec8>(m, n, kb, a, lda, b, bk, bj, c, ldc);
+}
+
+[[gnu::target("avx512f")]] void rhs_row_v8(index_t k, index_t n,
+                                           const double* w, index_t wt,
+                                           const double* x, index_t ldx,
+                                           double* y, const double* pivot) {
+  row_lanes<Vec8, 8>(k, 0, n, w, wt, x, ldx, y, pivot);
 }
 #endif
 
 /// The widths this CPU can run, narrowest first.
 std::vector<SchurKernel> host_schur_kernels() {
 #if defined(__x86_64__) || defined(__i386__)
-  std::vector<SchurKernel> kernels{{"sse2", schur_update_v2}};
+  std::vector<SchurKernel> kernels{
+      {"sse2", schur_update_v2, rhs_update_v2, rhs_row_v2}};
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2"))
-    kernels.push_back({"avx2", schur_update_v4});
+    kernels.push_back({"avx2", schur_update_v4, rhs_update_v4, rhs_row_v4});
   if (__builtin_cpu_supports("avx512f"))
-    kernels.push_back({"avx512f", schur_update_v8});
+    kernels.push_back(
+        {"avx512f", schur_update_v8, rhs_update_v8, rhs_row_v8});
   return kernels;
 #else
-  return {{"generic", schur_update_v2}};
+  return {{"generic", schur_update_v2, rhs_update_v2, rhs_row_v2}};
 #endif
 }
 
@@ -220,6 +422,20 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t ldc) {
   static const SchurKernel::Fn widest = schur_kernels().back().run;
   widest(m, n, kb, a, lda, b, ldb, c, ldc);
+}
+
+void rhs_update(index_t m, index_t n, index_t kb, const double* a,
+                index_t lda, const double* b, index_t bk, index_t bj,
+                double* c, index_t ldc) {
+  static const SchurKernel::RhsUpdateFn widest =
+      schur_kernels().back().rhs_update;
+  widest(m, n, kb, a, lda, b, bk, bj, c, ldc);
+}
+
+void rhs_row(index_t k, index_t n, const double* w, index_t wt,
+             const double* x, index_t ldx, double* y, const double* pivot) {
+  static const SchurKernel::RhsRowFn widest = schur_kernels().back().rhs_row;
+  widest(k, n, w, wt, x, ldx, y, pivot);
 }
 
 PartialFactorResult partial_lu_blocked(FrontView f, index_t npiv,
@@ -348,92 +564,6 @@ PartialFactorResult partial_ldlt_blocked(FrontView f, index_t npiv,
     });
   }
   return result;
-}
-
-// ---- RHS-panel kernels (solve phase) ---------------------------------------
-//
-// Column-grouped triangular panel solves: the triangular operand's column
-// (or strided row) is loaded once per group of kRhsGroup RHS columns, and
-// each RHS column keeps the scalar loop's per-element subtraction order.
-
-namespace {
-constexpr index_t kRhsGroup = 8;
-}  // namespace
-
-void rhs_trsm_lower_unit(index_t n, index_t k, const double* l, index_t ldl,
-                         double* b, index_t ldb) {
-  for (index_t c0 = 0; c0 < k; c0 += kRhsGroup) {
-    const index_t c1 = std::min<index_t>(c0 + kRhsGroup, k);
-    for (index_t j = 0; j < n; ++j) {
-      const double* lcol = l + stride(j, ldl);
-      for (index_t c = c0; c < c1; ++c) {
-        double* bc = b + stride(c, ldb);
-        const double xj = bc[j];
-        for (index_t r = j + 1; r < n; ++r) bc[r] -= lcol[r] * xj;
-      }
-    }
-  }
-}
-
-void rhs_trsm_upper(index_t n, index_t k, const double* u, index_t ldu,
-                    double* b, index_t ldb) {
-  for (index_t c0 = 0; c0 < k; c0 += kRhsGroup) {
-    const index_t c1 = std::min<index_t>(c0 + kRhsGroup, k);
-    for (index_t j = n - 1; j >= 0; --j) {
-      const double d = u[stride(j, ldu) + j];
-      for (index_t c = c0; c < c1; ++c) {
-        double* bc = b + stride(c, ldb);
-        double s = bc[j];
-        for (index_t t = j + 1; t < n; ++t) s -= u[stride(t, ldu) + j] * bc[t];
-        bc[j] = s / d;
-      }
-    }
-  }
-}
-
-void rhs_trsm_lower_trans_unit(index_t n, index_t k, const double* l,
-                               index_t ldl, double* b, index_t ldb) {
-  for (index_t c0 = 0; c0 < k; c0 += kRhsGroup) {
-    const index_t c1 = std::min<index_t>(c0 + kRhsGroup, k);
-    for (index_t j = n - 1; j >= 0; --j) {
-      const double* lcol = l + stride(j, ldl);
-      for (index_t c = c0; c < c1; ++c) {
-        double* bc = b + stride(c, ldb);
-        double s = bc[j];
-        for (index_t t = j + 1; t < n; ++t) s -= lcol[t] * bc[t];
-        bc[j] = s;
-      }
-    }
-  }
-}
-
-void rhs_gemm_at_sub(index_t m, index_t n, index_t kb, const double* a,
-                     index_t lda, const double* b, index_t ldb, double* c,
-                     index_t ldc) {
-  if (m <= 0 || n <= 0 || kb <= 0) return;
-  // 4x4 register blocking over (row of A^T, RHS column); each C element
-  // owns one accumulator chain, subtracting its dot products in
-  // increasing kb index — contiguous loads on both operands.
-  for (index_t j0 = 0; j0 < n; j0 += kMicroCols) {
-    const index_t nr = std::min(kMicroCols, n - j0);
-    for (index_t i0 = 0; i0 < m; i0 += kMicroRows) {
-      const index_t mr = std::min(kMicroRows, m - i0);
-      double acc[kMicroRows][kMicroCols];
-      for (index_t j = 0; j < nr; ++j)
-        for (index_t i = 0; i < mr; ++i)
-          acc[i][j] = c[stride(j0 + j, ldc) + i0 + i];
-      for (index_t t = 0; t < kb; ++t) {
-        for (index_t j = 0; j < nr; ++j) {
-          const double w = b[stride(j0 + j, ldb) + t];
-          for (index_t i = 0; i < mr; ++i)
-            acc[i][j] -= a[stride(i0 + i, lda) + t] * w;
-        }
-      }
-      for (index_t j = 0; j < nr; ++j)
-        for (index_t i = 0; i < mr; ++i)
-          c[stride(j0 + j, ldc) + i0 + i] = acc[i][j];
-    }
-  }
 }
 
 // ---- pre-blocking scalar kernels (bit-exactness baseline) ------------------

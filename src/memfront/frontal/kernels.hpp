@@ -91,19 +91,30 @@ void schur_update(index_t m, index_t n, index_t kb, const double* a,
                   index_t lda, const double* b, index_t ldb, double* c,
                   index_t ldc);
 
-/// One vector width of schur_update: "sse2" (16-byte vectors, the
+/// One vector width of the tiled kernels: schur_update and the two solve
+/// kernels, rhs_update and rhs_row. "sse2" (16-byte vectors, the
 /// baseline x86-64 build; "generic" on other CPUs), "avx2" (32-byte) or
 /// "avx512f" (64-byte). Every width computes the same bits.
 struct SchurKernel {
   using Fn = void (*)(index_t m, index_t n, index_t kb, const double* a,
                       index_t lda, const double* b, index_t ldb, double* c,
                       index_t ldc);
+  using RhsUpdateFn = void (*)(index_t m, index_t n, index_t kb,
+                               const double* a, index_t lda, const double* b,
+                               index_t bk, index_t bj, double* c,
+                               index_t ldc);
+  using RhsRowFn = void (*)(index_t k, index_t n, const double* w, index_t wt,
+                            const double* x, index_t ldx, double* y,
+                            const double* pivot);
   const char* name;
   Fn run;
+  RhsUpdateFn rhs_update;
+  RhsRowFn rhs_row;
 };
 
 /// The widths this CPU runs, narrowest first; the last is the one
-/// schur_update picks. A seam for tests and benches, not an option.
+/// schur_update, rhs_update and rhs_row pick. A seam for tests and
+/// benches, not an option.
 std::span<const SchurKernel> schur_kernels();
 
 /// Blocked right-looking partial LU with row pivoting among the
@@ -133,39 +144,35 @@ PartialFactorResult partial_ldlt_reference(FrontView front, index_t npiv);
 
 // ---- RHS-panel kernels (solve phase) ---------------------------------------
 //
-// Triangular solves and rank-k updates over n x k right-hand-side panels
-// (column-major, leading dimension ldb/ldc). The bit-exactness discipline
-// of the factor kernels applies: every panel element's update chain is
-// the scalar loop's chain — products subtracted one at a time in
-// increasing pivot/row order — and blocking only reorders work across
-// elements (different rows, different RHS columns), never within one
-// element's chain. The solve drivers rely on this to keep the blocked
-// multi-RHS sweep bitwise equal to the scalar single-RHS reference.
+// The solve keeps its working panels RHS-interleaved: row-major, the k
+// values of one row contiguous, so every elimination step is a vector
+// operation across right-hand sides, one lane per panel element. Both
+// kernels keep the factor kernels' discipline: each lane's update chain
+// is the scalar loop's chain, `c = c - w*x` one product at a time in
+// increasing pivot/row order, and tiling only reorders work across
+// lanes and rows, never within one chain. The solve drivers rely on
+// this to keep every sweep bitwise equal to the scalar single-RHS
+// reference. Lane counts that are not a multiple of the vector width
+// run their tail on the narrower widths, down to single doubles.
 
-/// B(0:n,0:k) <- L^-1 B for a unit-lower-triangular L (strictly-below-
-/// diagonal entries of an n x n column-major block with leading dimension
-/// ldl; the diagonal is implicit 1 and never read). Forward order: for
-/// each column, products subtracted in increasing pivot j.
-void rhs_trsm_lower_unit(index_t n, index_t k, const double* l, index_t ldl,
-                         double* b, index_t ldb);
+/// C(0:m,0:n) -= A(0:m,0:kb) · B(0:kb,0:n): schur_update's register tile
+/// with the B operand read through two strides, B(t, j) at
+/// b[t·bk + j·bj], so either orientation of a factor block serves as B.
+/// A and C are column-major (leading dimensions lda/ldc), one C element
+/// per lane along m. On an RHS-interleaved panel m is the number of
+/// right-hand sides and the lanes run across them; a one-column panel
+/// (n = 1, where both layouts coincide) may put the front rows on the
+/// lanes instead. Per-element products in increasing t.
+void rhs_update(index_t m, index_t n, index_t kb, const double* a,
+                index_t lda, const double* b, index_t bk, index_t bj,
+                double* c, index_t ldc);
 
-/// B(0:n,0:k) <- U^-1 B for an upper-triangular U (on-and-above-diagonal
-/// entries, non-unit diagonal). Backward order: row j subtracts products
-/// for t = j+1..n-1 in increasing t, then divides by U(j,j).
-void rhs_trsm_upper(index_t n, index_t k, const double* u, index_t ldu,
-                    double* b, index_t ldb);
-
-/// B(0:n,0:k) <- L^-T B for the unit-lower L above (the LDLt back-solve).
-/// Backward order: row j subtracts L(t,j) * B(t,:) for t = j+1..n-1 in
-/// increasing t; no divide (unit diagonal).
-void rhs_trsm_lower_trans_unit(index_t n, index_t k, const double* l,
-                               index_t ldl, double* b, index_t ldb);
-
-/// C(0:m,0:n) -= A^T(0:m,0:kb) * B(0:kb,0:n) where A is stored kb x m
-/// column-major (so A^T rows are A's columns, contiguous dot products).
-/// Per-element products in increasing kb index, like schur_update.
-void rhs_gemm_at_sub(index_t m, index_t n, index_t kb, const double* a,
-                     index_t lda, const double* b, index_t ldb, double* c,
-                     index_t ldc);
+/// One sequential substitution row over k lanes:
+///   y(0:k) <- (y - Σ_{t<n} w[t·wt] · x(t, 0:k)) / *pivot,
+/// x(t, c) at x[t·ldx + c], the products subtracted one at a time in
+/// increasing t, then the divide (skipped when pivot is null). The
+/// back-substitution runs one call per pivot row, bottom up.
+void rhs_row(index_t k, index_t n, const double* w, index_t wt,
+             const double* x, index_t ldx, double* y, const double* pivot);
 
 }  // namespace memfront

@@ -266,9 +266,12 @@ void record_sched_stats(const ParallelNumericStats& stats) {
   m.counter("solver.sched.helper_wakeups")
       .add(static_cast<std::int64_t>(stats.sched.helper_wakeups));
   // Of the helper blocks, those run by workers waiting for OOC memory;
-  // and the waits only the safety-net tick ended (lost wakeups).
+  // the sleeps of those waits; and the waits only the safety-net tick
+  // ended (lost wakeups).
   m.counter("solver.sched.memory_wait_blocks")
       .add(static_cast<std::int64_t>(stats.sched.memory_wait_blocks));
+  m.counter("solver.sched.memory_waits")
+      .add(static_cast<std::int64_t>(stats.sched.memory_waits));
   m.counter("solver.sched.tick_rescues")
       .add(static_cast<std::int64_t>(stats.sched.tick_rescues));
   m.gauge("solver.sched.max_queue_depth")

@@ -574,6 +574,7 @@ double NumericScheduler::wait_for_memory(unsigned w, std::uint64_t seen) {
       helped += seconds_since(t0);
       continue;
     }
+    ++stats_.memory_waits;
     by_tick = sleep_locked(lock, w, Sleeper::Kind::kMemory);
   }
   if (by_tick && !failed_) ++stats_.tick_rescues;

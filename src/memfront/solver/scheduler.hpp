@@ -107,6 +107,9 @@ struct SchedStats {
   std::uint64_t helper_wakeups = 0;     ///< sleepers notified of a post
   /// Of helper_blocks, those run by workers waiting for memory.
   std::uint64_t memory_wait_blocks = 0;
+  /// Sleeps in wait_for_memory: a worker waiting for OOC memory found no
+  /// release past its epoch and no posted block, and blocked.
+  std::uint64_t memory_waits = 0;
   /// Waits that ended on the safety-net tick and then found progress (a
   /// task, a steal, a posted job, a moved release epoch): lost wakeups.
   std::uint64_t tick_rescues = 0;

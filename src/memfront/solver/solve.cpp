@@ -29,7 +29,9 @@ inline std::size_t off(index_t a, index_t b) {
 
 /// Everything the per-node sweep steps read. `y` is the n x k panel in
 /// elimination order; `cb` the CB-RHS slab (node i's ncb x k block
-/// starts at row graph->cb_offset[i]).
+/// starts at row graph->cb_offset[i]). Both are RHS-interleaved, as is
+/// every per-worker scratch panel: row-major, the k values of one row
+/// contiguous (see frontal/kernels.hpp).
 struct SolveContext {
   const Analysis* analysis = nullptr;
   const Factorization* fact = nullptr;
@@ -41,16 +43,54 @@ struct SolveContext {
   bool scalar = false;  // solve_reference: scalar loops instead of kernels
 };
 
+/// Rows of one diagonal block of the forward elimination.
+constexpr index_t kSolveBlock = 48;
+
+/// Row `row` of an RHS-interleaved panel with k values per row.
+inline double* panel_row(double* panel, index_t row, index_t k) {
+  return panel + off(row, k);
+}
+
 inline double* cb_block(const SolveContext& ctx, index_t node) {
   return ctx.cb + static_cast<std::size_t>(
                       ctx.graph->cb_offset[sz(node)]) *
                       static_cast<std::size_t>(ctx.k);
 }
 
+/// Forward elimination of an nfront x k front panel F against the
+/// unit-lower L of `panel`, in kSolveBlock-row diagonal blocks: the
+/// block's triangle, then one rhs_update of every row below it by the
+/// block's columns. Each element still subtracts L(r,t)·F(t) for
+/// increasing t, the scalar loop's chain. With one column, the lanes run
+/// across front rows: the triangle column by column, the update as a
+/// one-column tile.
+void forward_eliminate(const double* panel, index_t nfront, index_t npiv,
+                       index_t k, double* F) {
+  for (index_t j0 = 0; j0 < npiv; j0 += kSolveBlock) {
+    const index_t j1 = std::min(j0 + kSolveBlock, npiv);
+    const double* lblock = panel + off(j0, nfront);  // L(:, j0)
+    if (k == 1) {
+      for (index_t t = j0; t + 1 < j1; ++t)
+        rhs_update(j1 - t - 1, 1, 1, panel + off(t, nfront) + t + 1, nfront,
+                   F + t, 1, 0, F + t + 1, 1);
+      if (j1 < nfront)
+        rhs_update(nfront - j1, 1, j1 - j0, lblock + j1, nfront, F + j0, 1,
+                   0, F + j1, 1);
+      continue;
+    }
+    for (index_t r = j0 + 1; r < j1; ++r)
+      rhs_row(k, r - j0, lblock + r, nfront, panel_row(F, j0, k), k,
+              panel_row(F, r, k), nullptr);
+    if (j1 < nfront)
+      rhs_update(k, nfront - j1, j1 - j0, panel_row(F, j0, k), k,
+                 lblock + j1, nfront, 1, panel_row(F, j1, k), k);
+  }
+}
+
 /// Forward elimination of one front: gather, extend-add the children's
-/// CB-RHS blocks (tree child order), unit-lower TRSM + Schur update,
-/// scatter. The only shared writes are this node's own pivot rows of y
-/// and its own slab slice, so tasks for different nodes never conflict.
+/// CB-RHS blocks (tree child order), eliminate, scatter. The only shared
+/// writes are this node's own pivot rows of y and its own slab slice,
+/// so tasks for different nodes never conflict.
 void forward_node(const SolveContext& ctx, index_t i,
                   SolveWorkspace::Scratch& s) {
   const AssemblyTree& tree = ctx.analysis->tree;
@@ -64,18 +104,15 @@ void forward_node(const SolveContext& ctx, index_t i,
   const NodeFactor& nf = ctx.fact->nodes[sz(i)];
   double* F = s.front.data();
 
-  // Gather: the pivot rows are columns [fc, fc+npiv) — a contiguous
-  // slice of every y column; the CB rows start from zero.
-  for (index_t c = 0; c < k; ++c) {
-    double* fcol = F + off(c, nfront);
-    std::memcpy(fcol, ctx.y + off(c, ctx.n) + fc,
-                sz(npiv) * sizeof(double));
-    std::fill(fcol + npiv, fcol + nfront, 0.0);
-  }
+  // Gather: the pivot rows are rows [fc, fc+npiv) of y, one contiguous
+  // slice; the CB rows start from zero.
+  std::memcpy(F, panel_row(ctx.y, fc, k), off(npiv, k) * sizeof(double));
+  std::fill(panel_row(F, npiv, k), panel_row(F, nfront, k), 0.0);
 
-  // Extend-add the children's CB-RHS blocks in tree child order. Both
-  // row lists are sorted and the child's CB set is a subset of this
-  // front's rows, so one merge walk yields the local positions.
+  // Extend-add the children's CB-RHS blocks in tree child order, whole
+  // rows at a time. Both row lists are sorted and the child's CB set is
+  // a subset of this front's rows, so one merge walk yields the local
+  // positions.
   for (index_t child : tree.children(i)) {
     const index_t ccb = tree.ncb(child);
     if (ccb == 0) continue;
@@ -89,50 +126,43 @@ void forward_node(const SolveContext& ctx, index_t i,
       pos[t] = p;
     }
     const double* block = cb_block(ctx, child);
-    for (index_t c = 0; c < k; ++c) {
-      double* fcol = F + off(c, nfront);
-      const double* bcol = block + off(c, ccb);
-      for (index_t t = 0; t < ccb; ++t) fcol[pos[t]] += bcol[t];
+    for (index_t t = 0; t < ccb; ++t) {
+      double* frow = panel_row(F, pos[t], k);
+      const double* brow = block + off(t, k);
+      for (index_t c = 0; c < k; ++c) frow[c] += brow[c];
     }
   }
 
-  // Eliminate. The scalar loop and the kernel pair apply the same
+  // Eliminate. The scalar loop and the kernels apply the same
   // per-element update chains (products in increasing pivot order, the
   // multiplier read after its own row finished) — bit-identical.
   const double* panel = nf.panel.data();
   if (ctx.scalar) {
     for (index_t c = 0; c < k; ++c) {
-      double* fcol = F + off(c, nfront);
+      double* fcol = F + c;  // column c, stride k
       for (index_t j = 0; j < npiv; ++j) {
-        const double xj = fcol[j];
+        const double xj = fcol[off(j, k)];
         const double* col = panel + off(j, nfront);
-        for (index_t r = j + 1; r < nfront; ++r) fcol[r] -= col[r] * xj;
+        for (index_t r = j + 1; r < nfront; ++r)
+          fcol[off(r, k)] -= col[r] * xj;
       }
     }
   } else if (npiv > 0) {
-    rhs_trsm_lower_unit(npiv, k, panel, nfront, F, nfront);
-    if (ncb > 0)
-      schur_update(ncb, k, npiv, panel + npiv, nfront, F, nfront, F + npiv,
-                   nfront);
+    forward_eliminate(panel, nfront, npiv, k, F);
   }
 
   // Scatter: solved pivots back to y, CB rows into this node's slab
   // slice for the parent's extend-add.
-  for (index_t c = 0; c < k; ++c)
-    std::memcpy(ctx.y + off(c, ctx.n) + fc, F + off(c, nfront),
-                sz(npiv) * sizeof(double));
-  if (ncb > 0) {
-    double* block = cb_block(ctx, i);
-    for (index_t c = 0; c < k; ++c)
-      std::memcpy(block + off(c, ncb), F + off(c, nfront) + npiv,
-                  sz(ncb) * sizeof(double));
-  }
+  std::memcpy(panel_row(ctx.y, fc, k), F, off(npiv, k) * sizeof(double));
+  if (ncb > 0)
+    std::memcpy(cb_block(ctx, i), panel_row(F, npiv, k),
+                off(ncb, k) * sizeof(double));
 }
 
 /// Back-substitution of one front: gather the forward-solved pivot
 /// values and the already-solved ancestor values its CB rows reference,
-/// subtract their products, solve the pivot block, scatter. Writes only
-/// this node's pivot rows of y.
+/// subtract their products, solve the pivot block row by row from the
+/// bottom, scatter. Writes only this node's pivot rows of y.
 void backward_node(const SolveContext& ctx, index_t i,
                    SolveWorkspace::Scratch& s) {
   const AssemblyTree& tree = ctx.analysis->tree;
@@ -148,77 +178,88 @@ void backward_node(const SolveContext& ctx, index_t i,
   double* F = s.front.data();   // npiv x k
   double* G = s.gather.data();  // ncb x k
 
-  for (index_t c = 0; c < k; ++c)
-    std::memcpy(F + off(c, npiv), ctx.y + off(c, ctx.n) + fc,
-                sz(npiv) * sizeof(double));
-  for (index_t c = 0; c < k; ++c) {
-    double* gcol = G + off(c, ncb);
-    const double* ycol = ctx.y + off(c, ctx.n);
-    for (index_t t = 0; t < ncb; ++t) gcol[t] = ycol[rows[sz(npiv + t)]];
-  }
+  std::memcpy(F, panel_row(ctx.y, fc, k), off(npiv, k) * sizeof(double));
+  for (index_t t = 0; t < ncb; ++t)
+    std::memcpy(panel_row(G, t, k), panel_row(ctx.y, rows[sz(npiv + t)], k),
+                sz(k) * sizeof(double));
 
   const double* panel = nf.panel.data();
   if (ctx.fact->symmetric) {
     // LDLt: scale by D, subtract the L21-transposed products of the
     // ancestor values, then the unit-lower transposed backward solve.
-    for (index_t c = 0; c < k; ++c) {
-      double* fcol = F + off(c, npiv);
-      for (index_t j = 0; j < npiv; ++j)
-        fcol[j] /= panel[off(j, nfront) + sz(j)];
+    for (index_t j = 0; j < npiv; ++j) {
+      const double d = panel[off(j, nfront) + sz(j)];
+      double* frow = panel_row(F, j, k);
+      for (index_t c = 0; c < k; ++c) frow[c] /= d;
     }
     if (ctx.scalar) {
       for (index_t c = 0; c < k; ++c) {
-        double* fcol = F + off(c, npiv);
-        const double* gcol = G + off(c, ncb);
+        double* fcol = F + c;
+        const double* gcol = G + c;
         for (index_t j = 0; j < npiv; ++j) {
           const double* col = panel + off(j, nfront);
-          double sum = fcol[j];
-          for (index_t t = 0; t < ncb; ++t) sum -= col[npiv + t] * gcol[t];
-          fcol[j] = sum;
+          double sum = fcol[off(j, k)];
+          for (index_t t = 0; t < ncb; ++t)
+            sum -= col[npiv + t] * gcol[off(t, k)];
+          fcol[off(j, k)] = sum;
         }
         for (index_t j = npiv - 1; j >= 0; --j) {
           const double* col = panel + off(j, nfront);
-          double sum = fcol[j];
-          for (index_t t = j + 1; t < npiv; ++t) sum -= col[t] * fcol[t];
-          fcol[j] = sum;
+          double sum = fcol[off(j, k)];
+          for (index_t t = j + 1; t < npiv; ++t)
+            sum -= col[t] * fcol[off(t, k)];
+          fcol[off(j, k)] = sum;
         }
       }
     } else {
+      // L21ᵀ(j, t) = L(npiv+t, j): column j of the panel below the pivots.
       if (ncb > 0)
-        rhs_gemm_at_sub(npiv, k, ncb, panel + npiv, nfront, G, ncb, F, npiv);
-      rhs_trsm_lower_trans_unit(npiv, k, panel, nfront, F, npiv);
+        rhs_update(k, npiv, ncb, G, k, panel + npiv, 1, nfront, F, k);
+      for (index_t j = npiv - 1; j >= 0; --j)
+        rhs_row(k, npiv - 1 - j, panel + off(j, nfront) + sz(j) + 1, 1,
+                panel_row(F, j + 1, k), k, panel_row(F, j, k), nullptr);
     }
   } else {
     // LU: subtract the U12 products of the ancestor values, then the
     // non-unit upper backward solve on U11.
+    const double* u12 = nf.u12.data();
     if (ctx.scalar) {
-      const double* u12 = nf.u12.data();
       for (index_t c = 0; c < k; ++c) {
-        double* fcol = F + off(c, npiv);
-        const double* gcol = G + off(c, ncb);
+        double* fcol = F + c;
+        const double* gcol = G + c;
         for (index_t j = 0; j < npiv; ++j) {
-          double sum = fcol[j];
+          double sum = fcol[off(j, k)];
           for (index_t t = 0; t < ncb; ++t)
-            sum -= u12[off(t, npiv) + sz(j)] * gcol[t];
-          fcol[j] = sum;
+            sum -= u12[off(t, npiv) + sz(j)] * gcol[off(t, k)];
+          fcol[off(j, k)] = sum;
         }
         for (index_t j = npiv - 1; j >= 0; --j) {
-          double sum = fcol[j];
+          double sum = fcol[off(j, k)];
           for (index_t t = j + 1; t < npiv; ++t)
-            sum -= panel[off(t, nfront) + sz(j)] * fcol[t];
-          fcol[j] = sum / panel[off(j, nfront) + sz(j)];
+            sum -= panel[off(t, nfront) + sz(j)] * fcol[off(t, k)];
+          fcol[off(j, k)] = sum / panel[off(j, nfront) + sz(j)];
         }
       }
     } else {
-      if (ncb > 0)
-        schur_update(npiv, k, ncb, nf.u12.data(), npiv, G, ncb, F, npiv);
-      rhs_trsm_upper(npiv, k, panel, nfront, F, npiv);
+      // U12 is npiv x ncb column-major. One column runs its lanes across
+      // the pivot rows, the U12 columns' contiguous direction.
+      if (ncb > 0) {
+        if (k == 1)
+          rhs_update(npiv, 1, ncb, u12, npiv, G, 1, 0, F, 1);
+        else
+          rhs_update(k, npiv, ncb, G, k, u12, npiv, 1, F, k);
+      }
+      // Row j reads U(j, j+1:npiv) with a stride of nfront; the last row
+      // reads none (and its first would lie past the panel).
+      for (index_t j = npiv - 1; j >= 0; --j)
+        rhs_row(k, npiv - 1 - j,
+                j + 1 < npiv ? panel + off(j + 1, nfront) + sz(j) : nullptr,
+                nfront, panel_row(F, j + 1, k), k, panel_row(F, j, k),
+                panel + off(j, nfront) + sz(j));
     }
   }
 
-  for (index_t c = 0; c < k; ++c)
-    std::memcpy(ctx.y + off(c, ctx.n) + fc, F + off(c, npiv),
-                sz(npiv) * sizeof(double));
+  std::memcpy(panel_row(ctx.y, fc, k), F, off(npiv, k) * sizeof(double));
 }
 
 void run_serial(const SolveContext& ctx, SolveWorkspace::Scratch& s) {
@@ -322,6 +363,9 @@ unsigned resolve_workers(const SolveOptions& options) {
   return options.nthreads > 0 ? options.nthreads : default_thread_count();
 }
 
+/// Rows of y one pass of the permute-in/out transpose covers.
+constexpr index_t kPermuteRows = 256;
+
 /// Permute in, sweep, permute out — shared by every public entry point.
 void run_solve(const Analysis& analysis, const Factorization& fact,
                const SolveGraph& graph, std::span<const double> b,
@@ -348,12 +392,18 @@ void run_solve(const Analysis& analysis, const Factorization& fact,
   ctx.scalar = scalar;
 
   // Permute the rhs into elimination order, composed with the pivoting
-  // row permutation picked up during factorization.
-  for (index_t c = 0; c < nrhs; ++c) {
-    double* ycol = ws.y.data() + off(c, n);
-    const double* bcol = b.data() + off(c, n);
-    for (index_t kk = 0; kk < n; ++kk)
-      ycol[kk] = bcol[analysis.perm[sz(fact.row_of[sz(kk)])]];
+  // row permutation picked up during factorization, transposing the
+  // caller's column-major panel into the RHS-interleaved y. Blocks of
+  // kPermuteRows rows keep the y rows being filled in cache while each
+  // column is read.
+  for (index_t r0 = 0; r0 < n; r0 += kPermuteRows) {
+    const index_t r1 = std::min(r0 + kPermuteRows, n);
+    for (index_t c = 0; c < nrhs; ++c) {
+      const double* bcol = b.data() + off(c, n);
+      double* yc = ws.y.data() + c;
+      for (index_t kk = r0; kk < r1; ++kk)
+        yc[off(kk, nrhs)] = bcol[analysis.perm[sz(fact.row_of[sz(kk)])]];
+    }
   }
 
   if (workers <= 1) {
@@ -363,11 +413,15 @@ void run_solve(const Analysis& analysis, const Factorization& fact,
     run_parallel_sweep(ctx, ws, workers, /*forward=*/false);
   }
 
-  // Back to the original ordering.
-  for (index_t c = 0; c < nrhs; ++c) {
-    const double* ycol = ws.y.data() + off(c, n);
-    double* xcol = x.data() + off(c, n);
-    for (index_t kk = 0; kk < n; ++kk) xcol[analysis.perm[sz(kk)]] = ycol[kk];
+  // Back to the original ordering and the column-major layout.
+  for (index_t r0 = 0; r0 < n; r0 += kPermuteRows) {
+    const index_t r1 = std::min(r0 + kPermuteRows, n);
+    for (index_t c = 0; c < nrhs; ++c) {
+      const double* yc = ws.y.data() + c;
+      double* xcol = x.data() + off(c, n);
+      for (index_t kk = r0; kk < r1; ++kk)
+        xcol[analysis.perm[sz(kk)]] = yc[off(kk, nrhs)];
+    }
   }
 }
 

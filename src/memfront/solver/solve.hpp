@@ -4,12 +4,16 @@
 // tree, not a flat substitution over the assembled factors. Forward
 // elimination visits nodes bottom-up: gather the front's RHS panel
 // (pivot rows from the global panel, CB rows zeroed), extend-add the
-// children's CB-RHS blocks in tree child order, eliminate (unit-lower
-// TRSM on the pivot block, GEMM into the CB rows), scatter the solved
-// pivots back and the CB rows into a per-node slab. Back-substitution
-// visits nodes top-down with the dependency edges inverted: gather the
+// children's CB-RHS blocks in tree child order, eliminate (the pivot
+// block's unit-lower triangle in 48-row diagonal blocks, each followed
+// by an update of every row below it), scatter the solved pivots back
+// and the CB rows into a per-node slab. Back-substitution visits nodes
+// top-down with the dependency edges inverted: gather the
 // already-solved ancestor values referenced by the node's CB rows,
-// subtract their products, solve the pivot block, scatter.
+// subtract their products, solve the pivot block row by row from the
+// bottom, scatter. Every working panel is RHS-interleaved (row-major,
+// the k values of one row contiguous), so each step runs the
+// frontal/kernels.hpp RHS kernels across the right-hand sides.
 //
 // Because every floating-point association is fixed *per node* — by the
 // tree, its child order, and the kernels' per-element update chains —
@@ -90,20 +94,24 @@ SolveGraph build_solve_graph(const Analysis& analysis,
                              const SolveOptions& options = {});
 
 /// Reusable solve buffers: the n x k panel in elimination order, the
-/// CB-RHS slab, and per-worker gather/scatter scratch. bind() resizes
-/// for a (graph, n, nrhs, workers) shape; repeated solves of the same
-/// shape reuse them all (a parallel sweep still builds its scheduler
-/// state per call). One workspace serves one solve at a time (the
-/// parallel sweeps' workers share it by index).
+/// CB-RHS slab, and per-worker gather/scatter scratch. Every panel here
+/// is RHS-interleaved: row-major, the nrhs values of one row contiguous,
+/// so gathers, scatters and the extend-add move whole rows and the
+/// kernels run one lane per right-hand side (the caller's b and x stay
+/// column-major; the permute-in and permute-out transpose). bind()
+/// resizes for a (graph, n, nrhs, workers) shape; repeated solves of
+/// the same shape reuse them all (a parallel sweep still builds its
+/// scheduler state per call). One workspace serves one solve at a time
+/// (the parallel sweeps' workers share it by index).
 struct SolveWorkspace {
   struct Scratch {
-    std::vector<double> front;   // max_nfront x nrhs front RHS panel
-    std::vector<double> gather;  // max_ncb x nrhs backward gather buffer
+    std::vector<double> front;   // max_nfront rows: one front's panel
+    std::vector<double> gather;  // max_ncb rows: backward ancestor values
     std::vector<index_t> pos;    // extend-add row positions
   };
 
-  std::vector<double> y;   // n x nrhs, elimination order
-  std::vector<double> cb;  // cb_rows x nrhs slab
+  std::vector<double> y;   // n rows, elimination order
+  std::vector<double> cb;  // cb_rows rows: every node's CB-RHS block
   std::vector<Scratch> scratch;
 
   void bind(const SolveGraph& graph, index_t n, index_t nrhs,

@@ -2,13 +2,15 @@
 // blocked panel/TRSM/GEMM pipeline must reproduce the scalar kernels bit
 // for bit (pivot sequences AND every stored value), alone and with its
 // large trailing updates split over a team of threads; every SIMD width
-// of schur_update against the rank-1 chain; the signbit perturbation
-// fix and the mapped extend-add scatter.
+// of schur_update against the rank-1 chain; every width of the two
+// solve kernels (rhs_update, rhs_row) against plain scalar loops; the
+// signbit perturbation fix and the mapped extend-add scatter.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <string>
 #include <thread>
@@ -251,6 +253,164 @@ TEST(NumericKernels, SchurUpdateMatchesScalarRankUpdates) {
         check_schur(run, m, n, kb, ++seed);
         if (HasFatalFailure()) return;
       }
+  }
+}
+
+/// Operand with zeros of both signs, infinities of both signs and
+/// subnormals sprinkled in (sparse, so most chains still carry finite
+/// values past them).
+std::vector<double> special_operand(std::size_t size, Rng& rng) {
+  std::vector<double> v = schur_operand(size, rng);
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < size; ++i) {
+    if (i % 11 == 4) v[i] = 0.0;
+    if (i % 53 == 17) v[i] = inf;
+    if (i % 59 == 29) v[i] = -inf;
+  }
+  return v;
+}
+
+bool same_bits(const std::vector<double>& a, const std::vector<double>& b) {
+  return a.size() == b.size() &&
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
+}
+
+/// Lane counts of the solve-kernel checks: every count up to two 8-lane
+/// vectors plus one, then counts around and at the benchmark's 64.
+const std::vector<index_t>& rhs_lane_counts() {
+  static const std::vector<index_t> counts = [] {
+    std::vector<index_t> c;
+    for (index_t k = 1; k <= 17; ++k) c.push_back(k);
+    for (const index_t k : {31, 33, 64}) c.push_back(k);
+    return c;
+  }();
+  return counts;
+}
+
+/// C -= A·B through rhs_update `run`, with B read through (bk, bj), must
+/// equal the plain t-ordered scalar loop bit for bit and leave C's
+/// padding rows alone. `row_major_b` picks the orientation: B(t, j) at
+/// b[t·ldb + j] (a factor block whose rows are contiguous) or at
+/// b[j·ldb + t] (schur_update's column-major B).
+void check_rhs_update(SchurKernel::RhsUpdateFn run, index_t m, index_t n,
+                      index_t kb, bool row_major_b, bool special,
+                      std::uint64_t seed) {
+  const index_t lda = m + 3, ldc = m + 5;
+  const index_t ldb = row_major_b ? n + 2 : kb + 1;
+  const index_t bk = row_major_b ? ldb : 1;
+  const index_t bj = row_major_b ? 1 : ldb;
+  const std::size_t bsize = static_cast<std::size_t>(ldb) *
+                            static_cast<std::size_t>(row_major_b ? kb : n);
+  Rng rng(seed);
+  const auto operand = [&](std::size_t size) {
+    return special ? special_operand(size, rng) : schur_operand(size, rng);
+  };
+  const std::vector<double> a = operand(static_cast<std::size_t>(lda) * kb);
+  const std::vector<double> b = operand(bsize);
+  std::vector<double> c = operand(static_cast<std::size_t>(ldc) * n);
+  std::vector<double> expected = c;
+  for (index_t j = 0; j < n; ++j)
+    for (index_t i = 0; i < m; ++i) {
+      double& e = expected[static_cast<std::size_t>(j) * ldc + i];
+      for (index_t t = 0; t < kb; ++t)
+        e -= a[static_cast<std::size_t>(t) * lda + i] *
+             b[static_cast<std::size_t>(t) * bk +
+               static_cast<std::size_t>(j) * bj];
+    }
+  run(m, n, kb, a.data(), lda, b.data(), bk, bj, c.data(), ldc);
+  ASSERT_TRUE(same_bits(c, expected))
+      << "m=" << m << " n=" << n << " kb=" << kb
+      << " row_major_b=" << row_major_b << " special=" << special;
+}
+
+TEST(NumericKernels, RhsUpdateMatchesScalarLoops) {
+  // Every width of the solve's tile against the plain loop: lane counts
+  // 1-17, 31, 33 and 64 (every lane tail of every width), front-row
+  // counts that are not a multiple of the 4-column tile (and the
+  // one-column path), depths from 1 to past the forward sweep's 48-row
+  // blocks, both B orientations, and operands with signed zeros and
+  // infinities.
+  std::vector<std::pair<std::string, SchurKernel::RhsUpdateFn>> runs;
+  for (const SchurKernel& k : schur_kernels())
+    runs.emplace_back(k.name, k.rhs_update);
+  runs.emplace_back("rhs_update", rhs_update);
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    std::uint64_t seed = 100;
+    for (const index_t m : rhs_lane_counts())
+      for (const index_t n : {1, 2, 3, 5, 7, 13})
+        for (const index_t kb : {1, 13, 130})
+          for (const bool row_major_b : {false, true})
+            for (const bool special : {false, true}) {
+              check_rhs_update(run, m, n, kb, row_major_b, special, ++seed);
+              if (HasFatalFailure()) return;
+            }
+    // Empty extents touch nothing.
+    check_rhs_update(run, 0, 3, 5, true, false, ++seed);
+    check_rhs_update(run, 3, 0, 5, true, false, ++seed);
+    check_rhs_update(run, 3, 2, 0, false, false, ++seed);
+    if (HasFatalFailure()) return;
+  }
+}
+
+/// y <- (y - Σ_t w[t·wt] · x(t, :)) / pivot through rhs_row `run` must
+/// equal the plain loop bit for bit and leave the neighbouring row of y
+/// alone. `strided_w` reads w with a stride (a factor row in a
+/// column-major panel) instead of contiguously.
+void check_rhs_row(SchurKernel::RhsRowFn run, index_t k, index_t n,
+                   bool strided_w, bool divide, bool special,
+                   std::uint64_t seed) {
+  const index_t ldx = k + 3;
+  const index_t wt = strided_w ? 7 : 1;
+  Rng rng(seed);
+  const auto operand = [&](std::size_t size) {
+    return special ? special_operand(size, rng) : schur_operand(size, rng);
+  };
+  const std::vector<double> w =
+      operand(static_cast<std::size_t>(wt) * static_cast<std::size_t>(n) + 1);
+  const std::vector<double> x = operand(static_cast<std::size_t>(ldx) * n);
+  std::vector<double> y = operand(static_cast<std::size_t>(k) + 2);
+  // The divisor: a plain value, or -0.0 / +inf among the special ones.
+  constexpr double inf = std::numeric_limits<double>::infinity();
+  const double pivot = !special          ? 0.75 - rng.real(0.0, 0.5)
+                       : seed % 3 == 0   ? -0.0
+                       : seed % 3 == 1   ? inf
+                                         : -1.5;
+  std::vector<double> expected = y;
+  for (index_t c = 0; c < k; ++c) {
+    double acc = expected[static_cast<std::size_t>(c)];
+    for (index_t t = 0; t < n; ++t)
+      acc -= w[static_cast<std::size_t>(t) * wt] *
+             x[static_cast<std::size_t>(t) * ldx + c];
+    expected[static_cast<std::size_t>(c)] = divide ? acc / pivot : acc;
+  }
+  run(k, n, w.data(), wt, x.data(), ldx, y.data(), divide ? &pivot : nullptr);
+  ASSERT_TRUE(same_bits(y, expected))
+      << "k=" << k << " n=" << n << " strided_w=" << strided_w
+      << " divide=" << divide << " special=" << special;
+}
+
+TEST(NumericKernels, RhsRowMatchesScalarLoops) {
+  // The back-substitution row at every width: the same lane counts, no
+  // products up to more than one 48-row block of them, contiguous and
+  // strided weights, with and without the LU divide (by -0.0 and +inf
+  // too), and operands with signed zeros and infinities.
+  std::vector<std::pair<std::string, SchurKernel::RhsRowFn>> runs;
+  for (const SchurKernel& k : schur_kernels())
+    runs.emplace_back(k.name, k.rhs_row);
+  runs.emplace_back("rhs_row", rhs_row);
+  for (const auto& [name, run] : runs) {
+    SCOPED_TRACE(name);
+    std::uint64_t seed = 200;
+    for (const index_t k : rhs_lane_counts())
+      for (const index_t n : {0, 1, 2, 5, 47, 130})
+        for (const bool strided_w : {false, true})
+          for (const bool divide : {false, true})
+            for (const bool special : {false, true}) {
+              check_rhs_row(run, k, n, strided_w, divide, special, ++seed);
+              if (HasFatalFailure()) return;
+            }
   }
 }
 

@@ -7,7 +7,8 @@
 // minimum budget on 3 workers, where the dead CB files are discarded
 // before the final flush. In core, the same ledger runs unlimited and
 // opens nothing on disk. Serial or parallel, every admission wait is the
-// scheduler's memory wait, and none may need the safety-net tick.
+// scheduler's memory wait, and none may need the safety-net tick. A
+// 64-column panel solved on reloaded factors matches the in-core sweep.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "memfront/solver/parallel_numeric.hpp"
 #include "memfront/solver/solve.hpp"
 #include "memfront/sparse/problems.hpp"
+#include "memfront/support/rng.hpp"
 #include "memfront/support/status.hpp"
 
 namespace memfront {
@@ -82,6 +84,14 @@ Pre2Fixture& pre2() {
 std::int64_t tick_rescues() {
   const obs::Counter* c =
       obs::MetricsRegistry::global().find_counter("solver.sched.tick_rescues");
+  return c == nullptr ? 0 : c->value();
+}
+
+/// The scheduler's memory-wait sleeps so far in this process: every
+/// budgeted factorization, serial or parallel, adds its count.
+std::int64_t memory_waits() {
+  const obs::Counter* c =
+      obs::MetricsRegistry::global().find_counter("solver.sched.memory_waits");
   return c == nullptr ? 0 : c->value();
 }
 
@@ -370,10 +380,43 @@ TEST(OocExec, MinBudgetPredictorIsAFeasibilityBoundary) {
   NumericOptions opt;
   opt.ooc = budgeted(floor);
   const std::int64_t rescues = tick_rescues();
-  const Factorization fact = numeric_factorize(f.analysis, opt);
-  expect_factors_bitwise_identical(fact, f.incore, "at the floor");
-  EXPECT_LE(fact.stats.ooc.charged_peak_doubles, floor);
+  const std::int64_t waits = memory_waits();
+  // Whether the lone worker sleeps in the scheduler's memory wait is a
+  // race with the write-behind thread: it sleeps only when a factor
+  // write is still in flight at an admission that needs its charge
+  // (about half the runs here). Repeat until one run slept, so the
+  // zero-rescue check below watched real sleeps; every run must meet
+  // the floor bit for bit.
+  constexpr int kMaxRuns = 20;
+  for (int run = 0; run < kMaxRuns && memory_waits() == waits; ++run) {
+    const Factorization fact = numeric_factorize(f.analysis, opt);
+    expect_factors_bitwise_identical(fact, f.incore, "at the floor");
+    EXPECT_LE(fact.stats.ooc.charged_peak_doubles, floor);
+  }
+  EXPECT_GT(memory_waits(), waits)
+      << "no serial run at the floor slept in the memory wait";
   EXPECT_EQ(tick_rescues(), rescues);
+}
+
+TEST(OocExec, WidePanelSolveAfterABudgetedFactorizationMatchesInCore) {
+  // The benchmark's 64-column panel on factors the budgeted run left on
+  // disk (reloaded by the solve, then swept on 4 workers) must match
+  // the serial sweep over the in-core factors bit for bit.
+  Pre2Fixture& f = pre2();
+  NumericOptions opt;
+  opt.ooc = budgeted(f.arena_peak * 8 / 10);
+  const Factorization fact = numeric_factorize(f.analysis, opt);
+  ASSERT_NE(fact.ooc_factors, nullptr);
+  constexpr index_t kPanel = 64;
+  Rng rng(64);
+  std::vector<double> panel(f.b.size() * kPanel);
+  for (double& v : panel) v = rng.real(-1.0, 1.0);
+  SolveOptions sopt;
+  sopt.nthreads = 4;
+  sopt.nprocs = 8;
+  EXPECT_TRUE(bitwise_equal(
+      solve_factorized_multi(f.analysis, fact, panel, kPanel, sopt),
+      solve_factorized_multi(f.analysis, f.incore, panel, kPanel)));
 }
 
 TEST(OocExec, RepeatedSolvesAfterReloadStayIdentical) {
