@@ -278,7 +278,6 @@ int main(int argc, char** argv) {
     wb_opt.nthreads = cli.threads;
     wb_opt.ooc.enabled = true;
     wb_opt.ooc.budget_doubles = peak + peak / 5;
-    wb_opt.ooc.io_mode = OocIoMode::kWriteBehind;
     const auto wb_t0 = std::chrono::steady_clock::now();
     const Factorization real_wb = parallel_numeric_factorize(analysis, wb_opt);
     row.real_wall_wb_s =
@@ -288,7 +287,7 @@ int main(int argc, char** argv) {
     row.real_overlap_s = real_wb.stats.ooc.overlap_seconds;
 
     ParallelNumericOptions sync_opt = wb_opt;
-    sync_opt.ooc.io_mode = OocIoMode::kSynchronous;
+    sync_opt.ooc.write_behind = false;
     const auto sync_t0 = std::chrono::steady_clock::now();
     const Factorization real_sync =
         parallel_numeric_factorize(analysis, sync_opt);
@@ -384,7 +383,6 @@ int main(int argc, char** argv) {
         c.memory_strategy ? RealPolicy::kMemory : RealPolicy::kWorkload;
     popt.ooc.enabled = true;
     popt.ooc.budget_doubles = peak + peak / 5;
-    popt.ooc.io_mode = OocIoMode::kWriteBehind;
     ParallelNumericStats pstats;
     const auto t0 = std::chrono::steady_clock::now();
     (void)parallel_numeric_factorize(*analysis, popt, &pstats);

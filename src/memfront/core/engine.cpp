@@ -22,13 +22,11 @@ const char* peak_cause_name(PeakCause cause) {
   return "?";
 }
 
-Engine::Engine(const AssemblyTree& tree, const TreeMemory& memory,
-               const StaticMapping& mapping,
+Engine::Engine(const AssemblyTree& tree, const StaticMapping& mapping,
                const std::vector<index_t>& traversal,
                const SchedConfig& config, Trace* trace,
                SchedulerPolicy* policy)
     : tree_(tree),
-      memory_(memory),
       mapping_(mapping),
       traversal_(traversal),
       cfg_(config),

@@ -46,10 +46,9 @@ class Engine final : public PolicyHost, public OocHost {
   /// `policy == nullptr` builds the policy the config names
   /// (make_policy); a caller-supplied policy is consulted instead and
   /// must outlive the engine.
-  Engine(const AssemblyTree& tree, const TreeMemory& memory,
-         const StaticMapping& mapping, const std::vector<index_t>& traversal,
-         const SchedConfig& config, Trace* trace = nullptr,
-         SchedulerPolicy* policy = nullptr);
+  Engine(const AssemblyTree& tree, const StaticMapping& mapping,
+         const std::vector<index_t>& traversal, const SchedConfig& config,
+         Trace* trace = nullptr, SchedulerPolicy* policy = nullptr);
 
   ParallelResult run();
 
@@ -225,7 +224,6 @@ class Engine final : public PolicyHost, public OocHost {
   ParallelResult finalize();
 
   const AssemblyTree& tree_;
-  [[maybe_unused]] const TreeMemory& memory_;  // kept for future policies
   const StaticMapping& mapping_;
   const std::vector<index_t>& traversal_;
   SchedConfig cfg_;

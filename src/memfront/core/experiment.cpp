@@ -65,8 +65,7 @@ ExperimentOutcome run_prepared(const PreparedExperiment& prepared,
 
   ExperimentOutcome outcome;
   outcome.parallel = simulate_parallel_factorization(
-      analysis.tree, analysis.memory, prepared.mapping, analysis.traversal,
-      config, trace);
+      analysis.tree, prepared.mapping, analysis.traversal, config, trace);
   outcome.max_stack_peak = outcome.parallel.max_stack_peak;
   outcome.makespan = outcome.parallel.makespan;
   outcome.sequential_peak = analysis.memory.peak;

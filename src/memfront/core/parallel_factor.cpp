@@ -8,10 +8,10 @@
 namespace memfront {
 
 ParallelResult simulate_parallel_factorization(
-    const AssemblyTree& tree, const TreeMemory& memory,
-    const StaticMapping& mapping, const std::vector<index_t>& traversal,
-    const SchedConfig& config, Trace* trace) {
-  Engine engine(tree, memory, mapping, traversal, config, trace);
+    const AssemblyTree& tree, const StaticMapping& mapping,
+    const std::vector<index_t>& traversal, const SchedConfig& config,
+    Trace* trace) {
+  Engine engine(tree, mapping, traversal, config, trace);
   return engine.run();
 }
 

@@ -82,7 +82,6 @@ struct ParallelResult {
 };
 
 ParallelResult simulate_parallel_factorization(const AssemblyTree& tree,
-                                               const TreeMemory& memory,
                                                const StaticMapping& mapping,
                                                const std::vector<index_t>& traversal,
                                                const SchedConfig& config,

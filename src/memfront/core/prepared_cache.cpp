@@ -127,8 +127,7 @@ struct FactorKey {
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.kernel));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.enabled));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.budget_doubles));
-    h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.io_mode));
-    h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.spill_policy));
+    h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.write_behind));
     h = hash_mix(h, static_cast<std::uint64_t>(numeric.ooc.spill_factors));
     h = hash_mix(h, static_cast<std::uint64_t>(nprocs));
     h = hash_mix(h, subtree_options.balance_factor);

@@ -1,7 +1,5 @@
 #include "memfront/frontal/extend_add.hpp"
 
-#include <vector>
-
 #include "memfront/support/error.hpp"
 
 namespace memfront {
@@ -27,29 +25,6 @@ void extend_add_mapped_cols(FrontView parent, const double* panel,
     for (index_t cr = 0; cr < ncb; ++cr)
       pcol[positions[static_cast<std::size_t>(cr)]] += ccol[cr];
   }
-}
-
-void extend_add(DenseMatrix& parent, std::span<const index_t> parent_rows,
-                const DenseMatrix& child_cb,
-                std::span<const index_t> child_rows) {
-  check(child_cb.rows() == static_cast<index_t>(child_rows.size()) &&
-            child_cb.cols() == child_cb.rows(),
-        "extend_add: child size mismatch");
-  check(parent.rows() == static_cast<index_t>(parent_rows.size()),
-        "extend_add: parent size mismatch");
-  // Both index lists are sorted: a single merge pass gives the positions.
-  std::vector<index_t> position(child_rows.size());
-  std::size_t p = 0;
-  for (std::size_t c = 0; c < child_rows.size(); ++c) {
-    while (p < parent_rows.size() && parent_rows[p] < child_rows[c]) ++p;
-    check(p < parent_rows.size() && parent_rows[p] == child_rows[c],
-          "extend_add: child row missing from parent front");
-    position[c] = static_cast<index_t>(p);
-  }
-  extend_add_mapped(FrontView{parent.data().data(), parent.rows(),
-                              parent.rows()},
-                    child_cb.data().data(), child_cb.rows(), child_cb.rows(),
-                    position);
 }
 
 }  // namespace memfront

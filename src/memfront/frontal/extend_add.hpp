@@ -5,7 +5,6 @@
 
 #include <span>
 
-#include "memfront/frontal/dense_matrix.hpp"
 #include "memfront/frontal/kernels.hpp"
 
 namespace memfront {
@@ -31,14 +30,5 @@ void extend_add_mapped_cols(FrontView parent, const double* panel,
                             index_t ncb, index_t child_ld, index_t col_begin,
                             index_t col_end,
                             std::span<const index_t> positions);
-
-/// parent_rows / child_rows are the sorted global index lists of the two
-/// fronts; every child row must appear among the parent's rows. The child
-/// matrix is its (ncb x ncb) contribution block, child_rows its index set.
-/// Convenience wrapper: derives the positions by a merge pass, then
-/// scatters via extend_add_mapped.
-void extend_add(DenseMatrix& parent, std::span<const index_t> parent_rows,
-                const DenseMatrix& child_cb,
-                std::span<const index_t> child_rows);
 
 }  // namespace memfront

@@ -38,7 +38,7 @@ namespace memfront {
 inline constexpr double kPivotFloor = 1e-12;
 
 /// Column-major view of a square frontal matrix in caller-owned storage
-/// (a CB, a scratch buffer, or a DenseMatrix's vector).
+/// (a CB or a scratch buffer).
 struct FrontView {
   double* data = nullptr;
   index_t n = 0;   // order of the front

@@ -6,8 +6,8 @@
 // the same visibility at near-zero cost:
 //
 //   - RAII spans behind macros (MEMFRONT_SPAN("factor_front", node)):
-//     compiled out entirely when MEMFRONT_OBS is 0, and a single relaxed
-//     atomic load when compiled in but disabled at runtime (the default).
+//     a single relaxed atomic load while tracing is disabled at runtime
+//     (the default).
 //   - Per-thread bounded ring buffers: a recording thread writes only to
 //     its own ring (registered once, under a mutex, on its first event),
 //     so the hot path takes no lock and performs no allocation. When a
@@ -27,12 +27,6 @@
 #include <memory>
 #include <string>
 #include <vector>
-
-// Compile-time master switch. CMake sets it on the library target
-// (option MEMFRONT_OBS, default ON); standalone includes default to on.
-#ifndef MEMFRONT_OBS
-#define MEMFRONT_OBS 1
-#endif
 
 namespace memfront::obs {
 
@@ -145,9 +139,7 @@ class SpanScope {
 // MEMFRONT_COUNTER(name, value)  — counter-track sample
 // MEMFRONT_THREAD_NAME(name)     — labels the calling thread's track
 //
-// All compile to ((void)0) when MEMFRONT_OBS is 0; when compiled in they
-// cost one relaxed load while tracing is disabled.
-#if MEMFRONT_OBS
+// Each costs one relaxed load while tracing is disabled.
 #define MEMFRONT_OBS_CONCAT2(a, b) a##b
 #define MEMFRONT_OBS_CONCAT(a, b) MEMFRONT_OBS_CONCAT2(a, b)
 #define MEMFRONT_SPAN(...) \
@@ -169,9 +161,3 @@ class SpanScope {
     if (::memfront::obs::Tracer::enabled())                        \
       ::memfront::obs::Tracer::global().set_thread_name(name);     \
   } while (0)
-#else
-#define MEMFRONT_SPAN(...) ((void)0)
-#define MEMFRONT_INSTANT(...) ((void)0)
-#define MEMFRONT_COUNTER(name, value) ((void)0)
-#define MEMFRONT_THREAD_NAME(name) ((void)0)
-#endif

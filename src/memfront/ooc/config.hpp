@@ -91,18 +91,16 @@ struct OocExecConfig {
   /// Hard budget in doubles of full-square storage (the unit of
   /// predict_arena_peak). 0 = unlimited: factors still stream to disk
   /// when spill_factors is set, but nothing spills or stalls, and no
-  /// streaming window is reserved.
+  /// streaming window is reserved. Admission evicts resident CBs
+  /// largest-first, the simulator's default victim selection.
   count_t budget_doubles = 0;
-  /// How spill/factor writes interact with compute — the same split the
-  /// simulator studies. kAdmissionDrain behaves like kWriteBehind here
-  /// (real admission always drains in-flight writes before giving up);
-  /// kSynchronous writes on the compute thread, the overlap baseline.
-  OocIoMode io_mode = OocIoMode::kWriteBehind;
-  /// Victim selection when admission must evict resident CBs.
-  SpillPolicy spill_policy = SpillPolicy::kLargestFirst;
-  /// Bound on the write-behind in-flight buffer, in doubles.
-  /// 0 = auto: budget/4, unbounded when the budget is unlimited too.
-  count_t write_buffer_doubles = 0;
+  /// Spill and factor writes go through a background I/O thread and an
+  /// in-flight buffer of budget_doubles / 4 (unbounded when the budget
+  /// is), so compute overlaps the disk; admission drains in-flight
+  /// writes before it gives up, so the simulator's kAdmissionDrain and
+  /// kWriteBehind both run as this. Off = synchronous: every write lands
+  /// on the compute thread, the overlap baseline.
+  bool write_behind = true;
   /// Stream finished factor panels to disk (reloaded at solve time).
   /// When false only contribution blocks spill.
   bool spill_factors = true;

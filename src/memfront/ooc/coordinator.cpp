@@ -60,15 +60,11 @@ OocCoordinator::OocCoordinator(const OocExecConfig& config,
   // In core is the unlimited budget with nothing on disk: no store, no
   // files, no I/O thread.
   if (!config.enabled) return;
-  write_behind_ = config.io_mode != OocIoMode::kSynchronous;
   SpillStoreOptions sopts;
   sopts.dir = config.spill_dir;
   sopts.files = 2 * workers_;  // cb_file(w) and factor_file(w)
-  sopts.write_behind = write_behind_;
-  count_t buffer_doubles = config.write_buffer_doubles;
-  if (buffer_doubles == 0 && budget_ > 0) buffer_doubles = budget_ / 4;
-  sopts.buffer_bytes =
-      static_cast<std::size_t>(buffer_doubles) * sizeof(double);
+  sopts.write_behind = config.write_behind;
+  sopts.buffer_bytes = static_cast<std::size_t>(budget_ / 4) * sizeof(double);
   store_ = std::make_shared<SpillStore>(
       sopts, [this](SpillStore::BlockId id, index_t node, std::size_t bytes,
                     bool ok) { on_landing(id, node, bytes, ok); });
@@ -173,7 +169,7 @@ bool OocCoordinator::try_admit_locked(std::unique_lock<std::mutex>& lock,
       return true;
     }
 
-    // 1. Evict unpinned resident CBs, the simulator's victim selection.
+    // 1. Evict unpinned resident CBs, largest first.
     std::vector<SpillCandidate> candidates;
     candidates.reserve(residency_.size());
     for (index_t n : residency_) {
@@ -185,11 +181,9 @@ bool OocCoordinator::try_admit_locked(std::unique_lock<std::mutex>& lock,
         candidates.push_back({n, static_cast<count_t>(cb.doubles)});
     }
     if (!candidates.empty()) {
-      const std::vector<std::size_t> victims = choose_spill_victims(
-          candidates, charged_ + need - budget_, config_.spill_policy,
-          spill_cursor_);
-      if (config_.spill_policy == SpillPolicy::kRoundRobin)
-        spill_cursor_ += victims.size();
+      const std::vector<std::size_t> victims =
+          choose_spill_victims(candidates, charged_ + need - budget_,
+                               SpillPolicy::kLargestFirst);
       struct Evicted {
         index_t node;
         std::vector<double> data;
@@ -532,7 +526,7 @@ void OocCoordinator::end_node(index_t node, NodeFactor& nf, index_t worker) {
       {
         std::unique_lock<std::mutex> lock(mu_);
         stats_.factor_write_doubles += d;
-        if (write_behind_ && !oversized &&
+        if (config_.write_behind && !oversized &&
             try_admit_locked(lock, d, node, worker, /*may_wait=*/false)) {
           inflight_ += d;
           queued = true;
@@ -599,7 +593,7 @@ OocExecStats OocCoordinator::finish() {
   // and (in synchronous mode) every write.
   stats_.stall_seconds += ss.read_seconds + ss.append_stall_seconds +
                           ss.flush_wait_seconds + ss.direct_write_seconds;
-  if (write_behind_) {
+  if (config_.write_behind) {
     // Background-write time the compute threads did not wait out: the
     // I/O thread's busy time less the part of it during which at least
     // one of them was blocked on it.

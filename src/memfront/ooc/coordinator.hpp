@@ -25,13 +25,13 @@
 // stacked), which is what lets budgets smaller than the in-core peak
 // run to completion. predict_min_ooc_budget is exactly the
 // reserved window maximized over the tree. When an admission does not
-// fit, it evicts unpinned resident CBs through choose_spill_victims —
-// the simulator's victim selection, unchanged. Only begin_node, whose
-// caller holds no memory yet, ever *waits* for in-flight writes to
-// land or another mid-node worker to release; every admission a worker
-// issues between begin and end is covered by its reservation or
-// degrades to an uncharged synchronous write, so workers holding
-// memory always run to end_node and admission waits cannot deadlock —
+// fit, it evicts unpinned resident CBs largest-first through
+// choose_spill_victims, the simulator's default victim selection. Only
+// begin_node, whose caller holds no memory yet, ever *waits* for
+// in-flight writes to land or another mid-node worker to release; every
+// admission a worker issues between begin and end is covered by its
+// reservation or degrades to an uncharged synchronous write, so workers
+// holding memory always run to end_node and admission waits cannot deadlock —
 // collectively or cyclically. That wait is the scheduler's
 // (OocSchedHooks::wait), at one worker as at many: the waiter helps the
 // running fronts' trailing updates until a release is reported. begin_node
@@ -226,7 +226,6 @@ class OocCoordinator {
   OocExecConfig config_;
   index_t workers_ = 1;
   count_t budget_ = 0;
-  bool write_behind_ = true;
   std::shared_ptr<SpillStore> store_;
   std::shared_ptr<OocFactorState> factors_;
   OocSchedHooks sched_hooks_;
@@ -235,7 +234,6 @@ class OocCoordinator {
   std::condition_variable cv_;       // a spilled CB's block list landed
   std::vector<Cb> cbs_;
   std::vector<index_t> residency_;   // resident CBs in push order
-  std::size_t spill_cursor_ = 0;     // kRoundRobin eviction start
   count_t charged_ = 0;              // resident + fronts + in-flight
   count_t inflight_ = 0;             // subset of charged_: queued writes
   index_t mid_node_ = 0;             // workers between begin and end

@@ -45,7 +45,7 @@ OocEngine::OocEngine(const OocConfig& config, index_t nprocs, OocHost& host)
 
 double OocEngine::disk_write_checked(index_t p, count_t entries, double now) {
   double backoff = kIoRetryBackoff;
-  [[maybe_unused]] const std::int64_t op = io_ops_++;
+  const std::int64_t op = io_ops_++;
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
     if (!MEMFRONT_FAULT("ooc.write", op * kMaxIoAttempts + attempt))
       return disk_.write(p, entries, now);
@@ -62,7 +62,7 @@ double OocEngine::disk_write_checked(index_t p, count_t entries, double now) {
 
 double OocEngine::disk_read_checked(index_t p, count_t entries, double now) {
   double backoff = kIoRetryBackoff;
-  [[maybe_unused]] const std::int64_t op = io_ops_++;
+  const std::int64_t op = io_ops_++;
   for (int attempt = 0; attempt < kMaxIoAttempts; ++attempt) {
     if (!MEMFRONT_FAULT("ooc.read", op * kMaxIoAttempts + attempt))
       return disk_.read(p, entries, now);

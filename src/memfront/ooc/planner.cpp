@@ -7,14 +7,14 @@
 
 namespace memfront {
 
-BudgetPoint evaluate_budget(const AssemblyTree& tree, const TreeMemory& memory,
+BudgetPoint evaluate_budget(const AssemblyTree& tree,
                             const StaticMapping& mapping,
                             const std::vector<index_t>& traversal,
                             SchedConfig config, count_t budget) {
   config.ooc.enabled = true;
   config.ooc.budget = budget;
-  const ParallelResult result = simulate_parallel_factorization(
-      tree, memory, mapping, traversal, config);
+  const ParallelResult result =
+      simulate_parallel_factorization(tree, mapping, traversal, config);
   BudgetPoint point;
   point.budget = budget;
   point.feasible = result.ooc_feasible();
@@ -28,7 +28,7 @@ BudgetPoint evaluate_budget(const AssemblyTree& tree, const TreeMemory& memory,
 }
 
 PlannerResult plan_minimum_budget(const AssemblyTree& tree,
-                                  const TreeMemory& memory,
+                                  const TreeMemory& /*memory*/,
                                   const StaticMapping& mapping,
                                   const std::vector<index_t>& traversal,
                                   SchedConfig config,
@@ -38,8 +38,7 @@ PlannerResult plan_minimum_budget(const AssemblyTree& tree,
   // spills; the in-core residency peak of this run is always feasible as a
   // budget (admission triggers strictly above the budget, so re-running at
   // exactly the peak changes nothing).
-  result.unlimited =
-      evaluate_budget(tree, memory, mapping, traversal, config, 0);
+  result.unlimited = evaluate_budget(tree, mapping, traversal, config, 0);
   result.incore_peak = result.unlimited.max_stack_peak;
   check(result.incore_peak > 0, "plan_minimum_budget: empty simulation");
 
@@ -49,18 +48,17 @@ PlannerResult plan_minimum_budget(const AssemblyTree& tree,
   // simulator, not an empty memory.
   count_t hi = result.incore_peak;
   count_t lo = 0;
-  BudgetPoint at_hi = evaluate_budget(tree, memory, mapping, traversal,
-                                      config, hi);
+  BudgetPoint at_hi = evaluate_budget(tree, mapping, traversal, config, hi);
   // Guard against the pathological case where timing feedback makes the
   // peak-sized budget itself infeasible: walk the anchor up geometrically.
   while (!at_hi.feasible) {
     hi += std::max<count_t>(1, hi / 2);
-    at_hi = evaluate_budget(tree, memory, mapping, traversal, config, hi);
+    at_hi = evaluate_budget(tree, mapping, traversal, config, hi);
   }
   while (hi - lo > 1) {
     const count_t mid = lo + (hi - lo) / 2;
     const BudgetPoint at_mid =
-        evaluate_budget(tree, memory, mapping, traversal, config, mid);
+        evaluate_budget(tree, mapping, traversal, config, mid);
     if (at_mid.feasible) {
       hi = mid;
       at_hi = at_mid;
@@ -82,7 +80,7 @@ PlannerResult plan_minimum_budget(const AssemblyTree& tree,
       budgets.push_back(n == 1 ? result.min_budget
                                : result.min_budget + span * k / (n - 1));
     result.curve = parallel_map(budgets, [&](count_t b) {
-      return evaluate_budget(tree, memory, mapping, traversal, config, b);
+      return evaluate_budget(tree, mapping, traversal, config, b);
     });
   }
   return result;

@@ -69,14 +69,15 @@ struct PlannerResult {
 /// Runs one budgeted out-of-core simulation (config.ooc.enabled and the
 /// budget are overridden by `budget`). The building block of the planner
 /// and of brute-force validation.
-BudgetPoint evaluate_budget(const AssemblyTree& tree, const TreeMemory& memory,
+BudgetPoint evaluate_budget(const AssemblyTree& tree,
                             const StaticMapping& mapping,
                             const std::vector<index_t>& traversal,
                             SchedConfig config, count_t budget);
 
 /// Binary-searches the minimum feasible per-processor budget for the given
 /// tree/mapping/strategy. `config.ooc.disk` and the spill knobs are
-/// honored; `config.ooc.enabled`/`budget` are planner-controlled.
+/// honored; `config.ooc.enabled`/`budget` are planner-controlled. The
+/// simulation reads nothing of `memory`.
 PlannerResult plan_minimum_budget(const AssemblyTree& tree,
                                   const TreeMemory& memory,
                                   const StaticMapping& mapping,

@@ -8,7 +8,8 @@
 // reload and surfaces as a structured kIoError with file/offset/node
 // context — never a silent wrong answer.
 //
-// Two I/O disciplines, matching the simulator's OocIoMode split:
+// Two I/O disciplines (OocExecConfig::write_behind), the simulator's
+// synchronous and write-behind modes:
 //
 //  * synchronous — append() writes on the calling thread and returns
 //    after the block is on disk;

@@ -93,9 +93,7 @@ struct Runtime {
 
 /// Runs one whole subtree on the calling worker, in postorder.
 void run_subtree(Runtime& rt, index_t s, unsigned w, FrontWorkspace& ws) {
-  // Only the span and the fault site read it; both can compile out.
-  [[maybe_unused]] const index_t root =
-      rt.subtrees.roots[static_cast<std::size_t>(s)];
+  const index_t root = rt.subtrees.roots[static_cast<std::size_t>(s)];
   MEMFRONT_SPAN("subtree", root);
   // Fault site: a worker task dying mid-subtree (any exception class)
   // must drain the pool and surface exactly one structured error. The

@@ -229,8 +229,8 @@ count_t NumericScheduler::task_flops(const Task& t) const {
 void NumericScheduler::refresh_announced_locked(double now) {
   // queued_flops is maintained incrementally at every push/take/steal;
   // only pending_master (a max over queued upper windows, which removal
-  // can lower) needs the deque scan — and only the memory policy (or an
-  // override) ever reads it.
+  // can lower) needs the deque scan — and only the memory policy's (or
+  // an override's) slave_metric ever reads it.
   for (std::size_t q = 0; q < deques_.size(); ++q) {
     auto& ws = host_.workers_[q];
     if (policy_reads_host_) {
@@ -494,10 +494,6 @@ bool NumericScheduler::next_task(unsigned w, Task& out) {
     if (failed_ || remaining_ == 0) return false;
     if (!deques_[w].empty() || (!options_.steal && !shared_ready_.empty())) {
       progress();
-      // The workload policy's dispatch is pure LIFO — it never reads
-      // announced state, so skip the refresh on its hot path (steal
-      // ranking refreshes for itself).
-      if (policy_reads_host_) refresh_announced_locked(now_locked());
       build_pool_locked(w);
       TaskQuery q;
       q.proc = static_cast<index_t>(w);

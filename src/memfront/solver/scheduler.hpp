@@ -140,8 +140,9 @@ count_t predict_subtree_arena_peak(const AssemblyTree& tree,
 
 /// The live PolicyHost of the real worker pool. One "processor" per
 /// worker; announced histories are refreshed from live counters under
-/// the scheduler mutex before every policy consult (a shared-memory
-/// machine has zero information delay — announced == actual).
+/// the scheduler mutex before every steal ranking, their only reader
+/// (a shared-memory machine has zero information delay — announced ==
+/// actual).
 class RealPolicyHost final : public PolicyHost {
  public:
   RealPolicyHost(const AssemblyTree& tree, const Subtrees& subtrees,
@@ -320,9 +321,9 @@ class NumericScheduler final : public FrontTeam {
   RealPolicyHost host_;
   std::unique_ptr<SchedulerPolicy> owned_policy_;
   SchedulerPolicy* policy_ = nullptr;
-  /// Whether select_task can read announced host state (the memory
-  /// policy and any override do; the workload policy's LIFO dispatch
-  /// does not) — gates the per-dispatch announced refresh.
+  /// Whether slave_metric can read announced memory state (the memory
+  /// policy and any override do; the workload policy reads workload
+  /// only) — gates the memory fields of the steal-side refresh.
   bool policy_reads_host_ = false;
   count_t ooc_budget_ = 0;
 

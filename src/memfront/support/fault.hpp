@@ -10,10 +10,10 @@
 // is deterministic wherever the site runs single-threaded (the
 // simulator, file parsing).
 //
-// Cost discipline (the obs macro rules): MEMFRONT_FAULT compiles to
-// `false` under -DMEMFRONT_FAULTS=0, and costs one relaxed atomic load
-// when compiled in but disarmed (the default). The chaos harness and the
-// fault tests arm a plan around the calls they probe and disarm after.
+// Cost discipline (the obs macro rules): MEMFRONT_FAULT costs one
+// relaxed atomic load while disarmed (the default). The chaos harness
+// and the fault tests arm a plan around the calls they probe and disarm
+// after.
 #pragma once
 
 #include <atomic>
@@ -22,12 +22,6 @@
 #include <mutex>
 #include <string>
 #include <vector>
-
-// Compile-time master switch. CMake sets it on the library target
-// (option MEMFRONT_FAULTS, default ON); standalone includes default on.
-#ifndef MEMFRONT_FAULTS
-#define MEMFRONT_FAULTS 1
-#endif
 
 namespace memfront::fault {
 
@@ -57,7 +51,7 @@ class Registry {
   /// Installs `plan` and starts firing. Resets the per-site counters so
   /// equal seeds replay equal schedules.
   void arm(const Plan& plan);
-  /// Stops firing (the compiled-in sites go back to one relaxed load).
+  /// Stops firing (every site goes back to one relaxed load).
   void disarm();
 
   /// Decides whether the call identified by (site, id) fails under the
@@ -104,11 +98,7 @@ class ScopedPlan {
 }  // namespace memfront::fault
 
 // True when the call identified by (site[, id]) must fail under the
-// armed fault plan; `false` (no code at all) under -DMEMFRONT_FAULTS=0.
-#if MEMFRONT_FAULTS
+// armed fault plan.
 #define MEMFRONT_FAULT(...)                 \
   (::memfront::fault::Registry::armed() &&  \
    ::memfront::fault::Registry::global().should_fire(__VA_ARGS__))
-#else
-#define MEMFRONT_FAULT(...) (false)
-#endif

@@ -11,6 +11,7 @@
 // seed reported by CI replays exactly under a debugger.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -26,25 +27,53 @@
 #include "memfront/support/status.hpp"
 #include "tree_shapes.hpp"
 
-#if MEMFRONT_FAULTS
-
 namespace memfront {
 namespace {
 
 constexpr double kScale = 0.14;
+/// The smallest scale at which XENON2's tree (7 nodes) has subtree tasks
+/// at nprocs 8; at kScale it has 4 nodes and none.
+constexpr double kXenon2Scale = 0.18;
 constexpr std::uint64_t kSeedsPerCase = 16;
+/// The mapping width of every run: the bits must not depend on workers.
+constexpr index_t kChaosNprocs = 8;
 
-/// The full execution-path fault surface, at periods chosen to mix clean
-/// and failing schedules across the seed sweep. coordinator.cb_alloc
-/// fires per CB (keyed on the node), so its period is of the order of a
-/// case's CB count.
-fault::Plan chaos_plan(std::uint64_t seed) {
+/// The execution-path fault surface. A seed arms one site, so a failing
+/// run has one error code and its replay must reproduce it.
+constexpr std::array<const char*, 4> kChaosSites = {
+    "front.assemble_nan", "coordinator.cb_alloc", "worker.subtree_exception",
+    "worker.solve_exception"};
+
+/// How many ids each kChaosSites entry draws in one factorize + solve of
+/// `analysis` on `workers`: fronts with pivots, contribution blocks,
+/// subtree tasks, and the tasks of both solve sweeps (none on one
+/// worker, whose serial sweep has no fault site).
+std::array<index_t, 4> chaos_site_ids(const Analysis& analysis,
+                                      unsigned workers) {
+  const AssemblyTree& tree = analysis.tree;
+  index_t pivot_fronts = 0, cbs = 0;
+  for (index_t i = 0; i < tree.num_nodes(); ++i) {
+    if (tree.npiv(i) > 0) ++pivot_fronts;
+    if (tree.ncb(i) > 0) ++cbs;
+  }
+  SolveOptions sopt;
+  sopt.nprocs = kChaosNprocs;
+  const SolveGraph g = build_solve_graph(analysis, sopt);
+  const index_t subtrees = static_cast<index_t>(g.subtrees.roots.size());
+  const index_t tasks = subtrees + static_cast<index_t>(g.upper_nodes.size());
+  return {pivot_fronts, cbs, subtrees, workers > 1 ? 2 * tasks : 0};
+}
+
+/// Seed s arms site s % 4 with period ids + 1: under one fire per run
+/// on average, so a site with n ids leaves a seed clean with chance
+/// (n / (n + 1))^n, between 1/e and 1/2.
+fault::Plan chaos_plan(std::uint64_t seed,
+                       const std::array<index_t, 4>& site_ids) {
+  const std::size_t site = seed % kChaosSites.size();
   return {.seed = seed,
           .period = 0,
-          .overrides = {{"front.assemble_nan", 101},
-                        {"coordinator.cb_alloc", 200},
-                        {"worker.subtree_exception", 7},
-                        {"worker.solve_exception", 7}}};
+          .overrides = {{kChaosSites[site],
+                         static_cast<std::uint32_t>(site_ids[site] + 1)}}};
 }
 
 /// The scheduler's lost wakeups so far in this process: every completed
@@ -80,14 +109,14 @@ RunResult run_once(const Analysis& analysis, const std::vector<double>& b,
   try {
     ParallelNumericOptions popt;
     popt.nthreads = workers;
-    popt.nprocs = 8;  // fixed mapping: bits must not depend on workers
+    popt.nprocs = kChaosNprocs;
     popt.sched.steal = (sched_seed % 2 == 0);
     popt.sched.policy =
         (sched_seed % 4 < 2) ? RealPolicy::kWorkload : RealPolicy::kMemory;
     r.fact = parallel_numeric_factorize(analysis, popt);
     SolveOptions sopt;
     sopt.nthreads = workers;
-    sopt.nprocs = 8;
+    sopt.nprocs = kChaosNprocs;
     r.x = solve_factorized_multi(analysis, r.fact, b, 1, sopt);
   } catch (const SolverError& e) {
     r.code = e.code();
@@ -126,32 +155,38 @@ struct ChaosCase {
   ProblemId id;
   bool ldlt;
   unsigned workers;
+  double scale = kScale;
 };
 
 class ChaosHarness : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(ChaosHarness, EverySeedIsBitIdenticalOrCleanlyStructured) {
-  const auto [pid, ldlt, workers] = GetParam();
-  const Problem p = make_problem(pid, kScale);
+  const auto [pid, ldlt, workers, scale] = GetParam();
+  const Problem p = make_problem(pid, scale);
   AnalysisOptions opt;
   opt.ordering = OrderingKind::kNestedDissection;
   opt.symmetric = ldlt;
   const Analysis analysis = analyze(p.matrix, opt);
   std::vector<double> b(static_cast<std::size_t>(p.matrix.nrows()), 1.0);
+  const std::array<index_t, 4> site_ids = chaos_site_ids(analysis, workers);
+  ASSERT_GT(site_ids[2], 0) << "no subtree task: worker.subtree_exception "
+                                "never fires";
   const std::int64_t rescues = tick_rescues();
 
   const RunResult baseline = run_once(analysis, b, workers);
   ASSERT_EQ(baseline.code, ErrorCode::kOk) << "fault-free baseline failed";
 
+  // Seeds 4k..4k+3 arm each site once under scheduling mode k.
   int clean = 0, failed = 0;
   for (std::uint64_t seed = 0; seed < kSeedsPerCase; ++seed) {
     const std::string label = problem_name(pid) + " seed " +
                               std::to_string(seed) + " workers " +
                               std::to_string(workers);
+    const std::uint64_t sched_seed = seed / kChaosSites.size();
     RunResult run;
     {
-      fault::ScopedPlan scoped(chaos_plan(seed));
-      run = run_once(analysis, b, workers, seed);
+      fault::ScopedPlan scoped(chaos_plan(seed, site_ids));
+      run = run_once(analysis, b, workers, sched_seed);
     }
     if (run.code == ErrorCode::kOk) {
       ++clean;
@@ -164,15 +199,15 @@ TEST_P(ChaosHarness, EverySeedIsBitIdenticalOrCleanlyStructured) {
     // A failed schedule must never poison the process: replay the seed
     // (determinism) on the first failure only, to bound the cost.
     if (run.code != ErrorCode::kOk && failed == 1) {
-      fault::ScopedPlan scoped(chaos_plan(seed));
-      EXPECT_EQ(run_once(analysis, b, workers, seed).code, run.code)
+      fault::ScopedPlan scoped(chaos_plan(seed, site_ids));
+      EXPECT_EQ(run_once(analysis, b, workers, sched_seed).code, run.code)
           << label << ": schedule did not replay";
     }
   }
-  // The plan's periods are tuned so the sweep exercises both outcomes;
-  // all-clean or all-failed means the harness stopped probing anything.
+  // The periods follow the case's id counts so the sweep exercises both
+  // outcomes; all-clean or all-failed means it stopped probing one.
   EXPECT_GT(failed, 0) << "no schedule ever injected";
-  EXPECT_GT(clean + failed, 0);
+  EXPECT_GT(clean, 0) << "no schedule ever ran clean";
   // Fault-free execution after the whole sweep is still pristine.
   const RunResult after = run_once(analysis, b, workers);
   ASSERT_EQ(after.code, ErrorCode::kOk);
@@ -185,7 +220,8 @@ TEST_P(ChaosHarness, EverySeedIsBitIdenticalOrCleanlyStructured) {
 std::vector<ChaosCase> chaos_cases() {
   std::vector<ChaosCase> cases;
   for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    cases.push_back({ProblemId::kXenon2, false, workers});    // UNS -> LU
+    cases.push_back({ProblemId::kXenon2, false, workers,      // UNS -> LU
+                     kXenon2Scale});
     cases.push_back({ProblemId::kMsdoor, true, workers});     // SYM -> LDLT
     cases.push_back({ProblemId::kTwotone, false, workers});   // UNS -> LU
   }
@@ -454,5 +490,3 @@ TEST(ChaosHarness, SweepDimensionsMeetTheScheduleFloor) {
 
 }  // namespace
 }  // namespace memfront
-
-#endif  // MEMFRONT_FAULTS

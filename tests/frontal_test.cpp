@@ -1,15 +1,67 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
+#include <utility>
+#include <vector>
 
 #include "memfront/frontal/block_cyclic.hpp"
-#include "memfront/frontal/dense_matrix.hpp"
 #include "memfront/frontal/extend_add.hpp"
 #include "memfront/frontal/kernels.hpp"
+#include "memfront/support/error.hpp"
 #include "memfront/support/rng.hpp"
 
 namespace memfront {
 namespace {
+
+/// A zero-initialized column-major matrix for building test fronts.
+class DenseMatrix {
+ public:
+  DenseMatrix(index_t rows, index_t cols)
+      : rows_(rows),
+        cols_(cols),
+        data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols),
+              0.0) {}
+
+  index_t rows() const noexcept { return rows_; }
+  double& operator()(index_t r, index_t c) {
+    return data_[static_cast<std::size_t>(c) * rows_ + r];
+  }
+  double operator()(index_t r, index_t c) const {
+    return data_[static_cast<std::size_t>(c) * rows_ + r];
+  }
+  void swap_rows(index_t r1, index_t r2) {
+    for (index_t c = 0; c < cols_; ++c)
+      std::swap((*this)(r1, c), (*this)(r2, c));
+  }
+  double* data() { return data_.data(); }
+  const double* data() const { return data_.data(); }
+
+ private:
+  index_t rows_ = 0;
+  index_t cols_ = 0;
+  std::vector<double> data_;
+};
+
+/// Scatters a child CB into a parent front by global index:
+/// parent_rows / child_rows are the sorted index lists of the two fronts,
+/// and every child row must appear among the parent's. A merge pass
+/// derives the positions, then extend_add_mapped scatters.
+void extend_add(DenseMatrix& parent, std::span<const index_t> parent_rows,
+                const DenseMatrix& child_cb,
+                std::span<const index_t> child_rows) {
+  std::vector<index_t> position(child_rows.size());
+  std::size_t p = 0;
+  for (std::size_t c = 0; c < child_rows.size(); ++c) {
+    while (p < parent_rows.size() && parent_rows[p] < child_rows[c]) ++p;
+    check(p < parent_rows.size() && parent_rows[p] == child_rows[c],
+          "extend_add: child row missing from parent front");
+    position[c] = static_cast<index_t>(p);
+  }
+  extend_add_mapped(FrontView{parent.data(), parent.rows(), parent.rows()},
+                    child_cb.data(), child_cb.rows(), child_cb.rows(),
+                    position);
+}
 
 DenseMatrix random_dominant(index_t n, std::uint64_t seed) {
   Rng rng(seed);
@@ -26,9 +78,7 @@ DenseMatrix random_dominant(index_t n, std::uint64_t seed) {
 }
 
 /// The blocked kernels' view of a square DenseMatrix.
-FrontView view(DenseMatrix& m) {
-  return {m.data().data(), m.rows(), m.rows()};
-}
+FrontView view(DenseMatrix& m) { return {m.data(), m.rows(), m.rows()}; }
 
 DenseMatrix random_spd(index_t n, std::uint64_t seed) {
   DenseMatrix a = random_dominant(n, seed);

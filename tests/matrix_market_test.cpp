@@ -145,7 +145,6 @@ TEST(MatrixMarketErrors, StillCatchableAsStdInvalidArgument) {
   EXPECT_THROW((void)read_matrix_market(in), std::invalid_argument);
 }
 
-#if MEMFRONT_FAULTS
 TEST(MatrixMarketErrors, InjectedTruncationIsAlwaysClean) {
   // Cut the stream short at seed-chosen lines: every schedule must end
   // in a structured invalid_input (or parse fine when no line fires) —
@@ -188,7 +187,6 @@ TEST(MatrixMarketErrors, TruncationScheduleReplays) {
     }
   }
 }
-#endif  // MEMFRONT_FAULTS
 
 }  // namespace
 }  // namespace memfront

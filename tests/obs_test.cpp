@@ -96,8 +96,6 @@ class TracerTest : public ::testing::Test {
   }
 };
 
-#if MEMFRONT_OBS
-
 TEST_F(TracerTest, SpanNestingRecordsContainedIntervals) {
   Tracer::set_enabled(true);
   {
@@ -138,8 +136,6 @@ TEST_F(TracerTest, DisabledMacrosAllocateNothing) {
   for (const Tracer::TrackSnapshot& t : tracks) events += t.events.size();
   EXPECT_EQ(events, 0u);
 }
-
-#endif  // MEMFRONT_OBS
 
 TEST_F(TracerTest, RingWraparoundKeepsNewestEvents) {
   Tracer::global().set_ring_capacity(8);

@@ -95,11 +95,11 @@ std::int64_t memory_waits() {
   return c == nullptr ? 0 : c->value();
 }
 
-OocExecConfig budgeted(count_t budget, OocIoMode mode = OocIoMode::kWriteBehind) {
+OocExecConfig budgeted(count_t budget, bool write_behind = true) {
   OocExecConfig cfg;
   cfg.enabled = true;
   cfg.budget_doubles = budget;
-  cfg.io_mode = mode;
+  cfg.write_behind = write_behind;
   return cfg;
 }
 
@@ -241,23 +241,13 @@ TEST(OocExec, SynchronousModeMatchesWriteBehindBitForBit) {
   Pre2Fixture& f = pre2();
   const count_t budget = f.arena_peak * 8 / 10;
   NumericOptions opt;
-  opt.ooc = budgeted(budget, OocIoMode::kSynchronous);
+  opt.ooc = budgeted(budget, /*write_behind=*/false);
   const std::int64_t rescues = tick_rescues();
   const Factorization fact = numeric_factorize(f.analysis, opt);
   expect_factors_bitwise_identical(fact, f.incore, "synchronous");
   EXPECT_LE(fact.stats.ooc.charged_peak_doubles, budget);
   // Synchronous writes never overlap compute by definition.
   EXPECT_EQ(fact.stats.ooc.overlap_seconds, 0.0);
-  EXPECT_EQ(tick_rescues(), rescues);
-}
-
-TEST(OocExec, AdmissionDrainModeMatchesToo) {
-  Pre2Fixture& f = pre2();
-  NumericOptions opt;
-  opt.ooc = budgeted(f.arena_peak * 8 / 10, OocIoMode::kAdmissionDrain);
-  const std::int64_t rescues = tick_rescues();
-  const Factorization fact = numeric_factorize(f.analysis, opt);
-  expect_factors_bitwise_identical(fact, f.incore, "admission-drain");
   EXPECT_EQ(tick_rescues(), rescues);
 }
 

@@ -356,8 +356,6 @@ TEST_F(TornFileCorpus, UndamagedControlStillReads) {
 
 // ---- fault-injection sites -------------------------------------------------
 
-#if MEMFRONT_FAULTS
-
 TEST(SpillStoreFaults, TransientWriteFailuresAreAbsorbedByTheRetry) {
   // Fault ids are node * 3 + attempt: firing attempt 0 only (ids that
   // are multiples of 3 with this seed's hash) leaves attempts 1-2 to
@@ -519,8 +517,6 @@ TEST(SpillStoreFaults, FsyncRetriesThenSurfaces) {
     EXPECT_THROW(store.flush(), SolverError);
   }
 }
-
-#endif  // MEMFRONT_FAULTS
 
 }  // namespace
 }  // namespace memfront

@@ -468,9 +468,9 @@ TEST_P(PlannerBruteForce, BinarySearchMatchesExhaustiveScan) {
   // Exhaustive scan: the smallest feasible budget, one entry at a time.
   count_t brute = 0;
   for (count_t b = 1; b <= plan.incore_peak + 1; ++b) {
-    const BudgetPoint point = evaluate_budget(
-        inst.analysis.tree, inst.analysis.memory, inst.mapping,
-        inst.analysis.traversal, inst.config, b);
+    const BudgetPoint point =
+        evaluate_budget(inst.analysis.tree, inst.mapping,
+                        inst.analysis.traversal, inst.config, b);
     if (point.feasible) {
       brute = b;
       break;
@@ -525,9 +525,10 @@ TEST(Planner, BudgetOfMinMinusOneIsInfeasible) {
       inst.analysis.tree, inst.analysis.memory, inst.mapping,
       inst.analysis.traversal, inst.config);
   ASSERT_GT(plan.min_budget, 1);
-  const BudgetPoint below = evaluate_budget(
-      inst.analysis.tree, inst.analysis.memory, inst.mapping,
-      inst.analysis.traversal, inst.config, plan.min_budget - 1);
+  const BudgetPoint below =
+      evaluate_budget(inst.analysis.tree, inst.mapping,
+                      inst.analysis.traversal, inst.config,
+                      plan.min_budget - 1);
   EXPECT_FALSE(below.feasible);
 }
 

@@ -34,8 +34,8 @@ Instance make_instance(index_t nprocs, bool memory_strategy) {
 }
 
 ParallelResult run_with(const Instance& inst, SchedulerPolicy* policy) {
-  Engine engine(inst.prepared.analysis->tree, inst.prepared.analysis->memory,
-                inst.prepared.mapping, inst.prepared.analysis->traversal,
+  Engine engine(inst.prepared.analysis->tree, inst.prepared.mapping,
+                inst.prepared.analysis->traversal,
                 inst.config, /*trace=*/nullptr, policy);
   return engine.run();
 }
@@ -76,8 +76,8 @@ TEST(SchedulerPolicy, EngineConsultsAtEveryDispatchAndAdmissionPoint) {
   const index_t nprocs = 4;
   const Instance inst = make_instance(nprocs, false);
   CountingPolicy counting;
-  Engine engine(inst.prepared.analysis->tree, inst.prepared.analysis->memory,
-                inst.prepared.mapping, inst.prepared.analysis->traversal,
+  Engine engine(inst.prepared.analysis->tree, inst.prepared.mapping,
+                inst.prepared.analysis->traversal,
                 inst.config, /*trace=*/nullptr, &counting);
   counting.inner = std::make_unique<WorkloadPolicy>(inst.config, engine);
   const ParallelResult r = engine.run();
@@ -102,8 +102,8 @@ TEST(SchedulerPolicy, CountingWrapperDoesNotPerturbTheSchedule) {
   const Instance inst = make_instance(4, false);
   const ParallelResult plain = run_with(inst, nullptr);
   CountingPolicy counting;
-  Engine engine(inst.prepared.analysis->tree, inst.prepared.analysis->memory,
-                inst.prepared.mapping, inst.prepared.analysis->traversal,
+  Engine engine(inst.prepared.analysis->tree, inst.prepared.mapping,
+                inst.prepared.analysis->traversal,
                 inst.config, /*trace=*/nullptr, &counting);
   counting.inner = std::make_unique<WorkloadPolicy>(inst.config, engine);
   const ParallelResult wrapped = engine.run();
@@ -177,8 +177,7 @@ TEST(SchedulerPolicy, AdmissionStallsLengthenTheMakespan) {
 TEST(SchedulerPolicy, MakePolicyNamesTheConfiguredStrategy) {
   const Instance workload = make_instance(2, false);
   const Instance memory = make_instance(2, true);
-  Engine host(workload.prepared.analysis->tree,
-              workload.prepared.analysis->memory, workload.prepared.mapping,
+  Engine host(workload.prepared.analysis->tree, workload.prepared.mapping,
               workload.prepared.analysis->traversal, workload.config);
   EXPECT_STREQ(make_policy(workload.config, host, nullptr)->name(),
                "workload");

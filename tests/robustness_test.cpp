@@ -42,10 +42,9 @@ bool bitwise_equal(const std::vector<double>& a,
           std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
-// Only the fault-site suites (compiled under MEMFRONT_FAULTS) call it.
-[[maybe_unused]] void expect_factors_bitwise_equal(const Factorization& a,
-                                                   const Factorization& b,
-                                                   const std::string& label) {
+void expect_factors_bitwise_equal(const Factorization& a,
+                                  const Factorization& b,
+                                  const std::string& label) {
   ASSERT_EQ(a.nodes.size(), b.nodes.size()) << label;
   EXPECT_EQ(a.row_of, b.row_of) << label;
   for (std::size_t i = 0; i < a.nodes.size(); ++i) {
@@ -136,7 +135,6 @@ TEST(ErrorTaxonomy, StatusFoldsInFlightExceptions) {
 
 // ---- fault registry determinism --------------------------------------------
 
-#if MEMFRONT_FAULTS
 std::vector<bool> fire_pattern(const fault::Plan& plan, const char* site,
                                int calls) {
   fault::ScopedPlan scoped(plan);
@@ -206,7 +204,6 @@ TEST(FaultRegistry, InjectedCountFeedsObsMetric) {
   ASSERT_NE(metric, nullptr);
   EXPECT_EQ(metric->value(), before + 10);
 }
-#endif  // MEMFRONT_FAULTS
 
 // ---- numerical robustness --------------------------------------------------
 
@@ -299,7 +296,6 @@ TEST(NumericalRobustness, RefinementIsANoOpOnCleanSystems) {
 
 // ---- fault sites -> taxonomy ----------------------------------------------
 
-#if MEMFRONT_FAULTS
 TEST(FaultSites, AssembledNanSurfacesAsPivotBreakdown) {
   const Problem p = make_problem(ProblemId::kTwotone, kScale);
   const Analysis analysis = analyze(p.matrix, {});
@@ -491,7 +487,6 @@ TEST(FaultSites, OocTransientErrorsAreRetriedThenStructured) {
               std::string::npos);
   }
 }
-#endif  // MEMFRONT_FAULTS
 
 }  // namespace
 }  // namespace memfront
